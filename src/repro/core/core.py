@@ -86,26 +86,6 @@ class HwThread:
         # send(None) on a fresh generator is next(): no "started" flag.
         self._send = program(ctx).send
 
-    def runnable_at(self, now: int) -> bool:
-        """Whether this thread can issue an instruction at ``now``."""
-        return self.state == T_READY and self.ready_at <= now
-
-    def next_instr(self) -> Optional[Instr]:
-        """Advance the program generator by one instruction.
-
-        Returns None when the program has finished.
-        """
-        try:
-            instr = self._send(self._pending_result)
-        except StopIteration:
-            return None
-        if type(instr) is not Instr:
-            raise ProgramError(
-                f"thread {self.global_tid} yielded {type(instr).__name__}, "
-                f"expected Instr"
-            )
-        return instr
-
     def deliver(self, result: Any) -> None:
         """Stage the architectural result for the next generator resume."""
         self._pending_result = result
@@ -288,10 +268,6 @@ class Core:
                 if best is None or r < best:
                     best = r
         return best
-
-    def all_done(self) -> bool:
-        """Whether every thread on this core has finished."""
-        return all(t.state == T_DONE for t in self.threads)
 
     # -- execution -----------------------------------------------------------
 

@@ -39,10 +39,6 @@ Number = Union[int, float]
 Vector = Tuple[Number, ...]
 
 
-def _as_vector(values: Sequence[Number]) -> Vector:
-    return tuple(values)
-
-
 def vbroadcast(value: Number, width: int) -> Vector:
     """A vector with every lane equal to ``value``."""
     if width <= 0:

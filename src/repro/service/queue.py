@@ -10,25 +10,35 @@ wedge it.
 Layout::
 
     <root>/
-      pending/<digest>.json          submitted, unclaimed tasks
-      leased/<digest>.<nonce>.json   claimed tasks, with lease metadata
-      spans/<actor>.jsonl            sweep-trace sidecars (see
-                                     :mod:`repro.obs.sweeptrace`)
-      workers/<worker_id>.json       worker heartbeat snapshots
+      pending/<seq>-<digest>.json          submitted, unclaimed tasks
+      leased/<seq>-<digest>.<nonce>.json   claimed tasks, with lease
+                                           metadata
+      spans/<actor>.jsonl                  sweep-trace sidecars (see
+                                           :mod:`repro.obs.sweeptrace`)
+      workers/<worker_id>.json             worker heartbeat snapshots
+
+``<seq>`` is the submit time in nanoseconds, zero-padded to a fixed
+width, so name order is submission order and a claim serves tasks
+first-in first-out from one directory listing — no payload reads, no
+per-entry ``stat``.  Equal times (two submitters on one clock tick)
+fall back to digest order, which is deterministic.  A task keeps its
+``<seq>`` through lease, nack and requeue, so a retried task goes back
+to its original place in line.
 
 A task's payload is its spec (plus the digest, submission time, and —
 for traced sweeps — the sweep's trace id).  :meth:`WorkQueue.submit_many`
-additionally publishes *batch* files (``batch-<sha>.json``) carrying up
-to N specs each; a batch claims/acks/nacks/requeues as one unit, and
-workers drain it through one in-process
-:class:`~repro.sim.batch.BatchRunner` instead of N solo simulations.
-The ``queue_batch_size`` histogram records specs-per-file either way.
+additionally publishes *batch* files (``<seq>-batch-<sha>.json``)
+carrying up to N specs each; a batch claims/acks/nacks/requeues as one
+unit, and the worker runs its members one by one, saving each record
+as soon as it finishes.  The ``queue_batch_size`` histogram records
+specs-per-file either way.
 The state machine:
 
 * **submit** — atomic publish into ``pending/`` (temp file +
   ``os.replace``).  Submitting a digest that is already pending or
   leased is a no-op, so many clients can submit overlapping sweeps.
-* **claim** — ``os.rename(pending/<d>.json, leased/<d>.<nonce>.json)``.
+* **claim** — ``os.rename(pending/<s>-<d>.json,
+  leased/<s>-<d>.<nonce>.json)`` on the lowest-named pending file.
   Rename is atomic and fails for every process but one, so a task can
   never be claimed twice; the winner then rewrites the leased file
   with its identity and a lease deadline.
@@ -40,9 +50,9 @@ The state machine:
 * **requeue** — anyone (workers between claims, the server on a
   timer, the executor while polling) may call
   :meth:`WorkQueue.requeue_expired`: leased files whose deadline
-  passed are renamed back into ``pending/``.  The nonce in the leased
-  filename keeps a straggler's late ``ack`` from deleting a lease now
-  held by the replacement worker.
+  passed are renamed back into ``pending/`` under their original
+  name.  The nonce in the leased filename keeps a straggler's late
+  ``ack`` from deleting a lease now held by the replacement worker.
 
 Telemetry: every transition bumps a ``queue_tasks_total{op=...}``
 counter in the queue's :class:`~repro.obs.metrics.MetricsRegistry`
@@ -75,6 +85,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -92,6 +103,9 @@ DEFAULT_LEASE_S = 120.0
 #: How long cached queue depths are served before a rescan (seconds).
 DEFAULT_COUNTS_TTL_S = 1.0
 
+#: Digits in the zero-padded submit-time prefix of a task file name.
+SEQ_WIDTH = 20
+
 #: URL scheme selecting this backend (``queue:///abs`` or ``queue://rel``).
 QUEUE_SCHEME = "queue://"
 
@@ -106,6 +120,30 @@ def parse_queue_url(url: str) -> Path:
     if not root:
         raise ConfigError(f"backend URL {url!r} names no directory")
     return Path(root)
+
+
+def _task_digest(stem: str) -> str:
+    """The digest a task file stem names (``<seq>-<digest>`` or bare).
+
+    Bare ``<digest>`` stems are files written by hand or by older
+    submitters; they still claim, in name order.
+    """
+    seq, sep, digest = stem.partition("-")
+    if sep and len(seq) == SEQ_WIDTH and seq.isdigit():
+        return digest
+    return stem
+
+
+def _task_names(directory: Path) -> List[str]:
+    """Task file names in ``directory``, in claim order (temp files skipped)."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted(
+        name for name in names
+        if name.endswith(".json") and not name.startswith(".")
+    )
 
 
 @dataclass(frozen=True)
@@ -150,6 +188,7 @@ class WorkQueue:
         self.pending_dir = self.root / "pending"
         self.leased_dir = self.root / "leased"
         self._nonce = 0
+        self._last_seq = 0
         self.metrics = metrics if metrics is not None else get_registry()
         self.logger = (logger or NULL_LOGGER).bind(queue=str(self.root))
         self.obs = obs
@@ -242,42 +281,9 @@ class WorkQueue:
         trace sidecar (see :mod:`repro.obs.sweeptrace`).
         """
         digest = digest or spec.digest()
-        if self._in_flight(digest):
-            return False
-        self.pending_dir.mkdir(parents=True, exist_ok=True)
-        self.leased_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "digest": digest,
-            "spec": spec.to_dict(),
-            "enqueued": time.time(),
-        }
-        if trace_id:
-            payload["trace"] = {"id": trace_id}
-        self._publish_pending(digest, payload)
-        self._count("submitted", +1, 0)
-        self._batch_size_hist.observe(1.0)
-        self.logger.debug("submit", digest=digest[:12], trace_id=trace_id)
-        self._phase("enqueued", digest, "queue", trace_id)
-        if trace_id:
-            self.span_log().record("enqueued", digest, trace_id)
-        return True
-
-    def _publish_pending(self, digest: str, payload: Dict[str, Any]) -> None:
-        """Atomically land one payload as ``pending/<digest>.json``."""
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.pending_dir), prefix=f".{digest[:12]}.",
-            suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp_name, self.pending_dir / f"{digest}.json")
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        return self.submit_many(
+            [spec], 1, digests=[digest], trace_id=trace_id
+        ) == 1
 
     def submit_many(
         self,
@@ -286,19 +292,20 @@ class WorkQueue:
         digests: Optional[Sequence[str]] = None,
         trace_id: str = "",
     ) -> int:
-        """Enqueue specs as batch files of up to ``batch_size`` each.
+        """Enqueue specs as files of up to ``batch_size`` specs each.
 
-        One queue file per group keeps the filesystem traffic (and the
-        claim/ack round-trips) at ``N / batch_size`` instead of ``N``,
-        and lets the claiming worker drain the whole group through one
-        :class:`~repro.sim.batch.BatchRunner`.  A group of one falls
-        back to a plain :meth:`submit` so singletons keep the classic
-        shape.  The batch digest (``batch-<sha>`` over the member
-        digests) keys the file; resubmitting an identical group while
-        it is pending or leased is a no-op, mirroring :meth:`submit`.
-        ``digests`` optionally provides pre-computed member digests
-        (parallel to ``specs``).  Returns how many *specs* were newly
-        queued.
+        Files are published in spec order, each with a later ``<seq>``
+        than the one before, so workers claim them in that order.  One
+        queue file per group keeps the filesystem traffic (and the
+        claim/ack round-trips) at ``N / batch_size`` instead of ``N``;
+        the claiming worker still runs and saves each member on its
+        own, so results stream back in submission order.  A group of
+        one is published in the plain single-spec shape.  The batch
+        digest (``batch-<sha>`` over the member digests) keys the
+        file; a group or spec whose digest is already pending or
+        leased is skipped, so resubmitting is a no-op.  ``digests``
+        optionally provides pre-computed member digests (parallel to
+        ``specs``).  Returns how many *specs* were newly queued.
         """
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -311,58 +318,88 @@ class WorkQueue:
                 raise ConfigError(
                     f"{len(digests)} digests for {len(specs)} specs"
                 )
+        self.pending_dir.mkdir(parents=True, exist_ok=True)
+        self.leased_dir.mkdir(parents=True, exist_ok=True)
+        in_flight = self._in_flight_digests()
         queued = 0
         for base in range(0, len(specs), batch_size):
             group = list(zip(digests[base:base + batch_size],
                              specs[base:base + batch_size]))
+            payload: Dict[str, Any] = {"enqueued": time.time()}
             if len(group) == 1:
                 digest, spec = group[0]
-                if self.submit(spec, digest=digest, trace_id=trace_id):
-                    queued += 1
+                payload["spec"] = spec.to_dict()
+            else:
+                digest = "batch-" + hashlib.sha256(
+                    "".join(d for d, _ in group).encode("utf-8")
+                ).hexdigest()[:40]
+                payload["batch"] = [
+                    {"digest": d, "spec": spec.to_dict()}
+                    for d, spec in group
+                ]
+            if digest in in_flight:
                 continue
-            batch_digest = "batch-" + hashlib.sha256(
-                "".join(digest for digest, _ in group).encode("utf-8")
-            ).hexdigest()[:40]
-            if self._in_flight(batch_digest):
-                continue
-            self.pending_dir.mkdir(parents=True, exist_ok=True)
-            self.leased_dir.mkdir(parents=True, exist_ok=True)
-            payload: Dict[str, Any] = {
-                "digest": batch_digest,
-                "batch": [
-                    {"digest": digest, "spec": spec.to_dict()}
-                    for digest, spec in group
-                ],
-                "enqueued": time.time(),
-            }
+            in_flight.add(digest)
+            payload["digest"] = digest
             if trace_id:
                 payload["trace"] = {"id": trace_id}
-            self._publish_pending(batch_digest, payload)
+            self._publish_pending(digest, payload)
             queued += len(group)
             self._count("submitted", +1, 0)
             self._batch_size_hist.observe(float(len(group)))
             self.logger.debug(
-                "submit-batch", digest=batch_digest[:18],
-                size=len(group), trace_id=trace_id,
+                "submit" if len(group) == 1 else "submit-batch",
+                digest=digest[:18], size=len(group), trace_id=trace_id,
             )
-            self._phase("enqueued", batch_digest, "queue", trace_id)
+            self._phase("enqueued", digest, "queue", trace_id)
             if trace_id:
-                for digest, _ in group:
-                    self.span_log().record("enqueued", digest, trace_id)
+                for member, _ in group:
+                    self.span_log().record("enqueued", member, trace_id)
         return queued
+
+    def _publish_pending(self, digest: str, payload: Dict[str, Any]) -> None:
+        """Atomically land one payload as ``pending/<seq>-<digest>.json``.
+
+        ``<seq>`` is the submit time in nanoseconds, forced strictly
+        increasing within this instance so back-to-back submits on a
+        coarse clock still keep their order.
+        """
+        seq = max(time.time_ns(), self._last_seq + 1)
+        self._last_seq = seq
+        fd, tmp_name = tempfile.mkstemp(
+            dir=str(self.pending_dir), prefix=f".{digest[:12]}.",
+            suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(
+                tmp_name,
+                self.pending_dir / f"{seq:0{SEQ_WIDTH}d}-{digest}.json",
+            )
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
 
     def submit_sweep(
         self, specs: Iterable[RunSpec], trace_id: str = ""
     ) -> int:
         """Enqueue every spec; returns how many were newly queued."""
-        return sum(
-            1 for spec in specs if self.submit(spec, trace_id=trace_id)
-        )
+        return self.submit_many(list(specs), 1, trace_id=trace_id)
+
+    def _in_flight_digests(self) -> Set[str]:
+        """Digests pending or leased right now (one listing per dir)."""
+        return {
+            _task_digest(name.split(".", 1)[0])
+            for directory in (self.pending_dir, self.leased_dir)
+            for name in _task_names(directory)
+        }
 
     def _in_flight(self, digest: str) -> bool:
-        if (self.pending_dir / f"{digest}.json").exists():
-            return True
-        return any(self.leased_dir.glob(f"{digest}.*.json"))
+        return digest in self._in_flight_digests()
 
     # -- claim / ack -----------------------------------------------------
 
@@ -379,22 +416,22 @@ class WorkQueue:
         if that rewrite never lands).  ``exclude`` digests are skipped
         without claiming — workers pass the specs they already failed,
         so a poison task stays pending for *other* workers instead of
-        livelocking this one (pending tasks sort stably, so a nacked
-        task would otherwise be the very next claim again).
+        livelocking this one (a nacked task keeps its place at the
+        head of the line, so it would otherwise be the very next claim
+        again).
+
+        Tasks are served in submission order: pending names start with
+        the zero-padded submit time, so the claim is the first name in
+        one sorted listing (see the module docstring).
         """
-        try:
-            candidates = sorted(os.listdir(self.pending_dir))
-        except OSError:
-            return None
-        for name in candidates:
-            if not name.endswith(".json") or name.startswith("."):
-                continue
-            digest = name[: -len(".json")]
+        for name in _task_names(self.pending_dir):
+            stem = name[: -len(".json")]
+            digest = _task_digest(stem)
             if digest in exclude:
                 continue
             self._nonce += 1
             nonce = f"{os.getpid()}-{self._nonce}-{time.time_ns() % 10**9}"
-            lease_path = self.leased_dir / f"{digest}.{nonce}.json"
+            lease_path = self.leased_dir / f"{stem}.{nonce}.json"
             try:
                 os.rename(self.pending_dir / name, lease_path)
             except OSError:
@@ -502,11 +539,14 @@ class WorkQueue:
         self.logger.debug("ack", digest=task.digest[:12])
 
     def nack(self, task: Task) -> None:
-        """Return a claimed task to pending immediately (failed run)."""
+        """Return a claimed task to pending immediately (failed run).
+
+        The task keeps its original place in line: its lease name
+        starts with its pending name's ``<seq>-<digest>`` stem.
+        """
+        stem = task.lease_path.name.split(".", 1)[0]
         try:
-            os.rename(
-                task.lease_path, self.pending_dir / f"{task.digest}.json"
-            )
+            os.rename(task.lease_path, self.pending_dir / f"{stem}.json")
         except OSError:
             return
         self._count("nacked", +1, -1)
@@ -522,21 +562,18 @@ class WorkQueue:
 
         The deadline comes from the lease stamp; an unstamped or
         unreadable lease falls back to the file's mtime plus the
-        queue's lease window.  The pending-side rename target is the
-        plain digest name, so a requeue racing a fresh submit of the
-        same digest collapses to one (value-identical) pending task.
+        queue's lease window.  A requeued task goes back under its
+        original pending name, so it keeps its place in line.  If a
+        fresh submit of the same digest races the requeue, both copies
+        stay pending; they are value-identical, and whichever is
+        claimed second is skipped by the worker's store check.
         """
         now = time.time() if now is None else now
         requeued: List[str] = []
-        try:
-            names = sorted(os.listdir(self.leased_dir))
-        except OSError:
-            return requeued
-        for name in names:
-            if not name.endswith(".json") or name.startswith("."):
-                continue
+        for name in _task_names(self.leased_dir):
             path = self.leased_dir / name
-            digest = name.split(".", 1)[0]
+            stem = name.split(".", 1)[0]
+            digest = _task_digest(stem)
             deadline = None
             trace_id = ""
             try:
@@ -554,7 +591,7 @@ class WorkQueue:
             if now <= float(deadline):
                 continue
             try:
-                os.rename(path, self.pending_dir / f"{digest}.json")
+                os.rename(path, self.pending_dir / f"{stem}.json")
                 requeued.append(digest)
             except OSError:
                 continue  # acked or requeued by someone else
@@ -571,18 +608,10 @@ class WorkQueue:
 
     def _scan_counts(self) -> Dict[str, int]:
         """Ground truth by directory scan (the pre-telemetry counts)."""
-        out = {}
-        for key, directory in (
-            ("pending", self.pending_dir), ("leased", self.leased_dir)
-        ):
-            try:
-                out[key] = sum(
-                    1 for name in os.listdir(directory)
-                    if name.endswith(".json") and not name.startswith(".")
-                )
-            except OSError:
-                out[key] = 0
-        return out
+        return {
+            "pending": len(_task_names(self.pending_dir)),
+            "leased": len(_task_names(self.leased_dir)),
+        }
 
     def counts(self, verify: bool = False) -> Dict[str, int]:
         """``{"pending": n, "leased": n}`` — tracked, scan-refreshed.
@@ -630,13 +659,9 @@ class WorkQueue:
 
     def pending_digests(self) -> List[str]:
         """Digests currently pending (claim order), leased excluded."""
-        try:
-            names = sorted(os.listdir(self.pending_dir))
-        except OSError:
-            return []
         return [
-            name[: -len(".json")] for name in names
-            if name.endswith(".json") and not name.startswith(".")
+            _task_digest(name[: -len(".json")])
+            for name in _task_names(self.pending_dir)
         ]
 
     def describe(self) -> Dict[str, Any]:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -482,6 +481,7 @@ class SweepServer:
             return
         trace_id = str(payload.get("trace_id") or "") or new_trace_id()
         digests: List[str] = []
+        misses: List[Tuple[str, RunSpec]] = []
         hits = enqueued = pending = 0
         for spec_dict in spec_dicts:
             try:
@@ -499,14 +499,19 @@ class SweepServer:
             elif self.queue is None:
                 pending += 1
             else:
-                if self._spans is not None:
+                misses.append((digest, spec))
+        if misses:
+            # One submit for the whole sweep: the queue lists its
+            # in-flight digests once, not once per spec.
+            if self._spans is not None:
+                for digest, _ in misses:
                     self._spans.record("submitted", digest, trace_id)
-                if self.queue.submit(
-                    spec, digest=digest, trace_id=trace_id
-                ):
-                    enqueued += 1
-                else:
-                    pending += 1  # already in flight
+            enqueued = self.queue.submit_many(
+                [spec for _, spec in misses], 1,
+                digests=[digest for digest, _ in misses],
+                trace_id=trace_id,
+            )
+            pending += len(misses) - enqueued  # already in flight
         self.logger.info(
             "sweep", specs=len(digests), hits=hits, enqueued=enqueued,
             pending=pending, trace_id=trace_id,
@@ -592,14 +597,3 @@ class SweepServer:
         writer.write(f"{len(data):x}\r\n".encode("latin-1"))
         writer.write(data)
         writer.write(b"\r\n")
-
-
-def _default_log(stream=None) -> Callable[[str], None]:
-    """A timestamped line logger (the pre-StructLogger CLI default)."""
-    stream = stream or sys.stderr
-
-    def log(message: str) -> None:
-        stamp = time.strftime("%H:%M:%S")
-        print(f"[{stamp}] {message}", file=stream, flush=True)
-
-    return log

@@ -3,14 +3,18 @@
 A worker owns nothing: it binds a :class:`~repro.service.queue.WorkQueue`
 and a shared :class:`~repro.sim.store.ResultStore`, and repeats
 
-    requeue expired leases -> claim -> (skip if the store already has
-    the digest) -> :func:`~repro.sim.executor.execute_spec` -> store
-    save with worker/host provenance -> ack
+    requeue expired leases -> claim -> for each spec in the file:
+    (skip if the store already has the digest) ->
+    :func:`~repro.sim.executor.execute_spec` -> store save with
+    worker/host provenance -> ack the file
 
-until told to stop.  N workers on N hosts drain one sweep with no
-coordination beyond the queue directory and the store; determinism
-guarantees their records are byte-identical (sans provenance) to a
-serial run's, which the service tests and CI assert.
+until told to stop.  A single-spec file is a file of one; a batch
+file's members run one by one, each saved as soon as it finishes, so
+results stream back in submission order (the queue claims FIFO).
+N workers on N hosts drain one sweep with no coordination beyond the
+queue directory and the store; determinism guarantees their records
+are byte-identical (sans provenance) to a serial run's, which the
+service tests and CI assert.
 
 Telemetry: the loop counts claims, store-skips, and task outcomes in
 the queue's metrics registry (``worker_claims_total`` etc., labelled
@@ -47,6 +51,9 @@ __all__ = ["WorkerSummary", "worker_loop", "default_worker_id"]
 #: How often a live worker refreshes its heartbeat file (seconds).
 DEFAULT_HEARTBEAT_S = 5.0
 
+#: First sleep after an empty claim; it doubles up to ``poll_s``.
+FIRST_IDLE_S = 0.001
+
 
 def default_worker_id() -> str:
     """A reasonably unique worker name: ``<host>-<pid>``."""
@@ -60,11 +67,11 @@ class WorkerSummary:
     """What one :func:`worker_loop` invocation did."""
 
     worker_id: str = ""
-    executed: int = 0        # tasks simulated fresh
-    skipped: int = 0         # tasks whose digest the store already had
-    failed: int = 0          # tasks whose simulation raised (nacked)
+    executed: int = 0        # specs simulated fresh
+    skipped: int = 0         # specs whose digest the store already had
+    failed: int = 0          # specs whose simulation raised
     requeued: int = 0        # expired leases this worker recycled
-    claims: int = 0          # successful claims (executed+skipped+failed)
+    claims: int = 0          # queue files claimed
     sim_wall_s: float = 0.0  # wall seconds spent inside execute_spec
     wall_time_s: float = 0.0
     digests: List[str] = field(default_factory=list)
@@ -166,16 +173,21 @@ def worker_loop(
     pending nor leased tasks (the batch-drain mode CI uses);
     ``idle_exit_s`` returns after that many seconds without claiming
     anything (lets a worker outlive brief gaps between submissions);
-    ``max_tasks`` bounds fresh executions.  With none of them set the
-    loop runs forever — the always-on service worker.
+    ``max_tasks`` bounds fresh executions (checked between files).
+    With none of them set the loop runs forever — the always-on
+    service worker.  After an empty claim the worker sleeps
+    ``FIRST_IDLE_S``, doubling each time up to ``poll_s``; any claim
+    resets it, so a worker that just went idle picks up new work
+    within a millisecond or so.
 
     ``log`` accepts a :class:`~repro.obs.log.StructLogger`, a plain
     ``Callable[[str], None]`` (the pre-telemetry interface, wrapped),
     or ``None`` for silence.
 
-    A failed simulation is nacked back to pending and counted; the
-    worker moves on rather than dying, so one poison spec cannot take
-    a fleet down.  A worker never re-claims a digest it already failed
+    A failed simulation is counted, the file's other specs still run
+    and land, and the file is nacked back to pending; the worker
+    moves on rather than dying, so one poison spec cannot take a
+    fleet down.  A worker never re-claims a digest it already failed
     (the task stays pending for *other* workers, visible in ``failed``
     tallies and the server's queue counts), and ``exit_when_empty``
     treats a queue holding only this worker's failures as drained.
@@ -208,6 +220,7 @@ def worker_loop(
 
     try:
         beat(force=True)
+        idle_s = 0.0
         while True:
             summary.requeued += len(queue.requeue_expired())
             task = queue.claim(worker_id, exclude=poisoned)
@@ -220,36 +233,17 @@ def worker_loop(
                     and time.monotonic() - last_work > idle_exit_s
                 ):
                     break
-                time.sleep(poll_s)
+                idle_s = min(poll_s, 2 * idle_s or FIRST_IDLE_S)
+                time.sleep(idle_s)
                 continue
+            idle_s = 0.0
             last_work = time.monotonic()
             summary.claims += 1
             metrics.claim()
             if task.trace_id:
                 spans.record("claimed", task.digest, task.trace_id)
-            if task.is_batch:
-                if not _execute_batch(task, queue, store, summary,
-                                      metrics, logger, spans):
-                    poisoned.add(task.digest)
-                beat()
-                if (
-                    max_tasks is not None
-                    and summary.executed >= max_tasks
-                ):
-                    break
-                continue
-            if store.load_record(task.digest) is not None:
-                # Another worker (or a requeued straggler's original
-                # run) already produced this record; determinism makes
-                # re-simulating pure waste.
-                queue.ack(task)
-                summary.skipped += 1
-                metrics.outcome("skipped")
-                logger.debug("skip", digest=task.digest[:12],
-                             reason="already in store")
-                continue
-            if not _execute_one(task, queue, store, summary,
-                                metrics, logger, spans):
+            if not _drain_task(task, queue, store, summary,
+                               metrics, logger, spans):
                 poisoned.add(task.digest)
             beat()
             if (
@@ -283,7 +277,7 @@ def _drained(queue: WorkQueue, poisoned: set) -> bool:
     return set(queue.pending_digests()) <= poisoned
 
 
-def _execute_batch(
+def _drain_task(
     task: Task,
     queue: WorkQueue,
     store: ResultStore,
@@ -292,62 +286,54 @@ def _execute_batch(
     logger: StructLogger,
     spans,
 ) -> bool:
-    """Drain one claimed batch through an in-process BatchRunner.
+    """Run each spec of one claimed file; ack it, or nack on failure.
 
-    Members whose digest the store already has are skipped (the same
-    determinism argument as the single-task path, applied per member);
-    the rest simulate together — shared interned inputs, one merged
-    event heap.  Save-then-ack covers the whole file, so a crash
-    mid-batch requeues it and the re-run skips whatever did land.  A
-    simulation error nacks the *whole file* back to pending: members
-    are independent, but the file is the queue's unit of retry.
+    Members run in submission order through
+    :func:`~repro.sim.executor.execute_spec`, and each record is saved
+    the moment its simulation ends, so a waiting executor collects it
+    without waiting for the rest of the file.  Members the store
+    already has are skipped: another worker, or an earlier attempt at
+    this file, produced them, and determinism makes re-simulating pure
+    waste.  A member that raises is counted and logged, and the rest
+    still run and land.  The file is acked once at the end, or nacked
+    back to pending if any member failed; a retry skips what landed.
+    Returns whether every member succeeded.
     """
-    from repro.sim.batch import BatchRunner
-
-    fresh = [
-        (digest, spec) for digest, spec in task.members
-        if store.load_record(digest) is None
-    ]
-    skipped = len(task.members) - len(fresh)
-    if skipped:
-        summary.skipped += skipped
-        for _ in range(skipped):
+    ok = True
+    # A single-spec task is a file of one.
+    for digest, spec in task.members or ((task.digest, task.spec),):
+        if store.load_record(digest) is not None:
+            summary.skipped += 1
             metrics.outcome("skipped")
-    if not fresh:
-        queue.ack(task)
-        logger.debug(
-            "skip-batch", digest=task.digest[:18],
-            reason="every member already in store",
-        )
-        return True
-    begun = time.perf_counter()
-    try:
-        results = BatchRunner([spec for _, spec in fresh]).run()
-    except Exception as exc:  # noqa: BLE001 — a worker must survive
-        queue.nack(task)
-        summary.failed += 1
-        metrics.outcome("failed")
-        logger.warning(
-            "fail-batch", digest=task.digest[:18],
-            size=len(fresh), error=repr(exc), trace_id=task.trace_id,
-        )
-        return False
-    wall_s = time.perf_counter() - begun
-    summary.sim_wall_s += wall_s
-    for (digest, spec), result in zip(fresh, results):
-        stats = result.stats
-        metrics.simulated(result.wall_s)
+            logger.debug("skip", digest=digest[:12],
+                         reason="already in store")
+            continue
+        begun = time.perf_counter()
+        try:
+            stats = execute_spec(spec)
+        except Exception as exc:  # noqa: BLE001 — a worker must survive
+            ok = False
+            summary.failed += 1
+            metrics.outcome("failed")
+            logger.warning(
+                "fail", digest=digest[:12], spec=spec.label(),
+                error=repr(exc), trace_id=task.trace_id,
+            )
+            continue
+        wall_s = time.perf_counter() - begun
+        summary.sim_wall_s += wall_s
+        metrics.simulated(wall_s)
         metrics.contention(stats)
         summary.contention_failed_lanes += stats.glsc_failures_total
         summary.contention_sc_failures += stats.sc_failures
         if task.trace_id:
             spans.record(
                 "simulated", digest, task.trace_id,
-                wall_s=round(result.wall_s, 6), cycles=stats.cycles,
+                wall_s=round(wall_s, 6), cycles=stats.cycles,
             )
-        provenance = run_provenance(result.wall_s)
-        provenance["batch_id"] = task.digest
-        provenance["batch_occupancy"] = len(fresh)
+        provenance = run_provenance(wall_s)
+        if task.is_batch:
+            provenance["batch_id"] = task.digest
         if task.trace_id:
             provenance["trace_id"] = task.trace_id
         store.save(
@@ -362,67 +348,13 @@ def _execute_batch(
         summary.executed += 1
         metrics.outcome("executed")
         summary.digests.append(digest)
-    queue.ack(task)
-    logger.info(
-        "done-batch", digest=task.digest[:18], size=len(fresh),
-        skipped=skipped, wall_s=round(wall_s, 3),
-        trace_id=task.trace_id,
-    )
-    return True
-
-
-def _execute_one(
-    task: Task,
-    queue: WorkQueue,
-    store: ResultStore,
-    summary: WorkerSummary,
-    metrics: _WorkerMetrics,
-    logger: StructLogger,
-    spans,
-) -> bool:
-    """Simulate one claimed task; save-then-ack on success."""
-    begun = time.perf_counter()
-    try:
-        stats = execute_spec(task.spec)
-    except Exception as exc:  # noqa: BLE001 — a worker must survive
+        logger.info(
+            "done-task", digest=digest[:12], spec=spec.label(),
+            cycles=stats.cycles, wall_s=round(wall_s, 3),
+            trace_id=task.trace_id,
+        )
+    if ok:
+        queue.ack(task)
+    else:
         queue.nack(task)
-        summary.failed += 1
-        metrics.outcome("failed")
-        logger.warning(
-            "fail", digest=task.digest[:12], spec=task.spec.label(),
-            error=repr(exc), trace_id=task.trace_id,
-        )
-        return False
-    wall_s = time.perf_counter() - begun
-    summary.sim_wall_s += wall_s
-    metrics.simulated(wall_s)
-    metrics.contention(stats)
-    summary.contention_failed_lanes += stats.glsc_failures_total
-    summary.contention_sc_failures += stats.sc_failures
-    if task.trace_id:
-        spans.record(
-            "simulated", task.digest, task.trace_id,
-            wall_s=round(wall_s, 6), cycles=stats.cycles,
-        )
-    provenance = run_provenance(wall_s)
-    if task.trace_id:
-        provenance["trace_id"] = task.trace_id
-    store.save(
-        task.digest,
-        stats,
-        spec=task.spec.to_dict(),
-        config=task.spec.config().to_dict(),
-        provenance=provenance,
-    )
-    if task.trace_id:
-        spans.record("saved", task.digest, task.trace_id)
-    queue.ack(task)
-    summary.executed += 1
-    metrics.outcome("executed")
-    summary.digests.append(task.digest)
-    logger.info(
-        "done-task", digest=task.digest[:12], spec=task.spec.label(),
-        cycles=stats.cycles, wall_s=round(wall_s, 3),
-        trace_id=task.trace_id,
-    )
-    return True
+    return ok

@@ -64,6 +64,9 @@ from repro.sim.store import ResultStore, STORE_VERSION
 
 __all__ = ["RunSpec", "Sweep", "Executor", "execute_spec"]
 
+#: How often a queue-backed executor tails the store's put journal.
+JOURNAL_TAIL_S = 0.005
+
 #: Kernel-name prefix selecting the Section 5.2 microbenchmark; the
 #: scenario letter follows the colon (``"micro:A"``).
 MICRO_PREFIX = "micro:"
@@ -374,10 +377,13 @@ class Executor:
     specs onto a shared :class:`~repro.service.queue.WorkQueue` and
     waits for detached ``repro worker`` processes — on this host or
     any other sharing the filesystem — to drain them into the store
-    (which is therefore required).  The executor requeues expired
-    leases while it waits, so worker crashes stall nothing, and every
-    collected result is telemetry-tagged ``source="queue"`` with the
-    producing worker's host from the record's provenance.
+    (which is therefore required).  Specs go out in files of up to
+    ``batch_size``, which workers claim in submission order and whose
+    results they save one by one, so results stream back in order.
+    The executor requeues expired leases while it waits, so worker
+    crashes stall nothing, and every collected result is
+    telemetry-tagged ``source="queue"`` with the producing worker's
+    host from the record's provenance.
     ``backend="batch"`` packs cold specs into groups of ``batch_size``
     and simulates each group through one
     :class:`~repro.sim.batch.BatchRunner` — one process, shared
@@ -629,22 +635,28 @@ class Executor:
     def _drain_via_queue(self, pending: Dict[str, RunSpec]) -> None:
         """Enqueue pending specs and collect worker-produced results.
 
-        Specs are published as batch files of up to ``batch_size``
-        (:meth:`~repro.service.queue.WorkQueue.submit_many`), so a
-        claiming worker drains each file through one in-process
-        :class:`~repro.sim.batch.BatchRunner` instead of N solo runs.
-        The rendezvous is the shared store: workers save records keyed
-        by digest, this loop polls for them (cheap existence checks,
-        no tally churn), requeueing expired leases as it goes so a
-        crashed worker's tasks are retried within one lease window.
-        Each drain mints a sweep trace id (threaded through every
-        payload; see :mod:`repro.obs.sweeptrace`), so even queue-only
-        sweeps with no server are reconstructable afterwards.
+        Specs are published in pending order as queue files of up to
+        ``batch_size`` specs
+        (:meth:`~repro.service.queue.WorkQueue.submit_many`).  Workers
+        claim files first-in first-out and save each spec's record as
+        soon as it finishes, so results stream back in submission
+        order.  The rendezvous is the shared store.  Every
+        ``JOURNAL_TAIL_S`` this loop reads the lines appended to the
+        store's put journal since the sweep was submitted, and loads
+        the records they name.  Once per ``queue_poll_s`` it also
+        requeues expired leases, so a crashed worker's tasks are
+        retried within one lease window, and checks every waiting
+        digest's record file: the ground truth, for records whose
+        journal line never landed.  Each drain mints a sweep trace id
+        (threaded through every payload; see
+        :mod:`repro.obs.sweeptrace`), so even queue-only sweeps with
+        no server are reconstructable afterwards.
         """
         from repro.obs.sweeptrace import new_trace_id
 
         trace_id = new_trace_id()
         items = list(pending.items())
+        offset = self.store.journal_size()
         self._queue.submit_many(
             [spec for _, spec in items],
             self.batch_size,
@@ -657,36 +669,47 @@ class Executor:
         )
         waiting = dict(pending)
         started = time.perf_counter()
-        while waiting:
-            self._queue.requeue_expired()
-            for digest in list(waiting):
-                if not self.store.path_for(digest).exists():
-                    continue
-                record = self.store.load_record(digest)
-                if record is None:
-                    continue  # torn/invalid: treat as still pending
-                spec = waiting.pop(digest)
-                stats = MachineStats.from_dict(record["stats"])
-                self._memo[digest] = stats
-                self.counters.queued += 1
-                provenance = record.get("provenance") or {}
-                self.telemetry.append(
-                    RunTelemetry(
-                        label=spec.label(),
-                        digest=digest,
-                        source="queue",
-                        cycles=stats.cycles,
-                        instructions=stats.total_instructions,
-                        wall_time_s=time.perf_counter() - started,
-                        worker_pid=int(provenance.get("worker_pid", 0)),
-                        worker_host=str(provenance.get("host", "")),
-                        created=time.time(),
-                        trace_id=str(provenance.get("trace_id", "")),
-                    )
+        next_scan = time.monotonic() + self.queue_poll_s
+
+        def collect(digest: str) -> None:
+            record = self.store.load_record(digest)
+            if record is None:
+                return  # torn/invalid: treat as still pending
+            spec = waiting.pop(digest)
+            stats = MachineStats.from_dict(record["stats"])
+            self._memo[digest] = stats
+            self.counters.queued += 1
+            provenance = record.get("provenance") or {}
+            self.telemetry.append(
+                RunTelemetry(
+                    label=spec.label(),
+                    digest=digest,
+                    source="queue",
+                    cycles=stats.cycles,
+                    instructions=stats.total_instructions,
+                    wall_time_s=time.perf_counter() - started,
+                    worker_pid=int(provenance.get("worker_pid", 0)),
+                    worker_host=str(provenance.get("host", "")),
+                    created=time.time(),
+                    trace_id=str(provenance.get("trace_id", "")),
                 )
+            )
+
+        while waiting:
+            journaled, offset = self.store.journal_since(offset)
+            for digest in journaled:
+                if digest in waiting:
+                    collect(digest)
+            now = time.monotonic()
+            if now >= next_scan:
+                next_scan = now + self.queue_poll_s
+                self._queue.requeue_expired()
+                for digest in list(waiting):
+                    if self.store.path_for(digest).exists():
+                        collect(digest)
             if not waiting:
                 break
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and now > deadline:
                 raise SimulationError(
                     f"queue backend timed out with {len(waiting)}/"
                     f"{len(pending)} specs unserved after "
@@ -694,7 +717,7 @@ class Executor:
                     "`repro worker` processes draining "
                     f"{self._queue.root}?"
                 )
-            time.sleep(self.queue_poll_s)
+            time.sleep(min(JOURNAL_TAIL_S, self.queue_poll_s))
 
     def _note_served(
         self, spec: RunSpec, digest: str, source: str

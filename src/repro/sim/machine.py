@@ -108,16 +108,6 @@ class Machine:
         self.threads.append(thread)
         return tid
 
-    def add_programs(self, programs: List[Program]) -> None:
-        """Attach one program per hardware thread (must fill the machine)."""
-        if len(programs) != self.config.n_threads:
-            raise ConfigError(
-                f"expected {self.config.n_threads} programs, "
-                f"got {len(programs)}"
-            )
-        for program in programs:
-            self.add_program(program)
-
     def warm_caches(self) -> None:
         """Pre-load every allocated line into every core's L1 (S state).
 

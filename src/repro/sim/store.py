@@ -13,7 +13,8 @@ Layout (one JSON file per run, atomically written)::
       <digest>.json     {"version", "digest", "spec", "config",
                          "stats", "provenance", "created"}
       index.jsonl       append-only put journal (digest, kernel,
-                        cycles, created) — cheap listing, rebuildable
+                        cycles, created) — cheap listing, tailed by
+                        queue-backed executors, rebuildable
       store.meta        best-effort hit/miss tally sidecar
 
 Records are forward-compatible: loaders ignore keys they do not
@@ -285,6 +286,46 @@ class ResultStore:
         except OSError:
             pass
         return entries
+
+    def journal_size(self) -> int:
+        """The put journal's length in bytes (0 when there is none)."""
+        try:
+            return os.stat(self.root / self.INDEX_NAME).st_size
+        except OSError:
+            return 0
+
+    def journal_since(self, offset: int) -> Tuple[List[str], int]:
+        """Digests journaled after byte ``offset``, and where to resume.
+
+        Reads only the bytes appended since ``offset``.  The resume
+        offset is the end of the last complete line, so a line still
+        being appended is read whole on the next call; unparsable
+        lines are skipped, exactly as :meth:`index` does.  A journal
+        shorter than ``offset`` was rebuilt, and is read from the
+        top.  A tail can miss a put (a lost or torn line), so callers
+        must still check the record files now and then.
+        """
+        size = self.journal_size()
+        if size < offset:
+            offset = 0
+        if size == offset:
+            return [], offset
+        try:
+            with open(self.root / self.INDEX_NAME, "rb") as fh:
+                fh.seek(offset)
+                chunk = fh.read(size - offset)
+        except OSError:
+            return [], offset
+        end = chunk.rfind(b"\n") + 1
+        digests = []
+        for line in chunk[:end].splitlines():
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(entry, dict) and "digest" in entry:
+                digests.append(str(entry["digest"]))
+        return digests, offset + end
 
     def rebuild_index(self) -> int:
         """Regenerate the journal from the record files; returns count."""

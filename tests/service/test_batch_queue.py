@@ -1,11 +1,12 @@
-"""Batched queue files: submit_many publishing and worker batch drain.
+"""Batched queue files: submit_many publishing and worker drain.
 
-One queue file per N specs cuts the per-spec filesystem round-trips,
-and the claiming worker drains the whole file through one in-process
-:class:`~repro.sim.batch.BatchRunner`.  The contract mirrors the
-single-task path exactly: store records byte-identical (sans
-provenance) to a serial run, per-member store-skip, whole-file nack on
-failure, batch payloads surviving lease stamping and requeue.
+One queue file per N specs cuts the per-spec filesystem round-trips.
+The claiming worker runs the file's members one by one and saves each
+record as soon as it finishes, exactly as it runs a single-spec file:
+store records byte-identical (sans provenance) to a serial run,
+per-member store-skip, failing members counted while the rest land,
+whole-file nack on any failure, batch payloads surviving lease
+stamping and requeue.
 """
 
 import json
@@ -134,18 +135,33 @@ class TestWorkerBatchDrain:
         assert queue.is_empty()
 
     def test_failed_batch_nacks_whole_file(self, tmp_path):
+        # A poison member fails on its own: the good member after it
+        # still runs and lands, and the file goes back to pending for a retry that
+        # skips what is already stored.
         queue = WorkQueue(tmp_path / "q", metrics=MetricsRegistry())
         store = ResultStore(tmp_path / "store")
-        poison = [SPECS[0], RunSpec("no-such-kernel", "tiny", "1x2", 4, "glsc")]
-        queue.submit_many(poison, batch_size=2)
+        bad = RunSpec("no-such-kernel", "tiny", "1x2", 4, "glsc")
+        queue.submit_many([bad, SPECS[0]], batch_size=2)
         summary = worker_loop(
             queue, store, worker_id="w-fail", exit_when_empty=True
         )
         assert summary.failed == 1
-        assert summary.executed == 0
-        # The whole file went back to pending (this worker excludes its
-        # own poisoned digests, so it drains as "empty" around it).
-        assert queue.counts(verify=True)["pending"] == 1
+        assert summary.executed == 1
+        serial_store = ResultStore(tmp_path / "serial")
+        Executor(store=serial_store).run(SPECS[0])
+        assert canonical_records(store) == canonical_records(serial_store)
+        assert bad.digest() not in store
+        # This worker excludes its own poisoned file, so it drains as
+        # "empty" around it; the file itself is pending again.
+        assert queue.counts(verify=True) == {"pending": 1, "leased": 0}
+
+        retry = worker_loop(
+            queue, store, worker_id="w-retry", exit_when_empty=True
+        )
+        assert retry.skipped == 1
+        assert retry.executed == 0
+        assert retry.failed == 1
+        assert queue.counts(verify=True) == {"pending": 1, "leased": 0}
 
     def test_executor_queue_backend_uses_batch_files(self, tmp_path):
         """End-to-end: executor submits batches, a worker drains them."""
@@ -158,7 +174,9 @@ class TestWorkerBatchDrain:
         drained = threading.Thread(
             target=worker_loop,
             args=(worker_queue, store),
-            kwargs={"worker_id": "w-e2e", "idle_exit_s": 2.0},
+            kwargs={"worker_id": "w-e2e", "idle_exit_s": 2.0,
+                    "max_tasks": len(SPECS)},
+            daemon=True,
         )
         drained.start()
         try:

@@ -86,6 +86,85 @@ class TestClaim:
         assert queue.claim("w1") is None            # poison gone, not requeued
 
 
+class TestFifoClaims:
+    """Claims follow submission order, whatever the digests sort to."""
+
+    SPECS = [
+        RunSpec(kernel, "tiny", topology, 4, "glsc")
+        for kernel in ("tms", "hip", "gbc")
+        for topology in ("1x1", "1x2")
+    ]
+
+    def submit_out_of_hash_order(self, queue):
+        """Singles and batch files whose digests sort unlike their order."""
+        singles = sorted(self.SPECS[:3], key=lambda s: s.digest(),
+                         reverse=True)
+        order = []
+        for spec in singles:
+            queue.submit(spec)
+            order.append(spec.digest())
+        queue.submit_many(self.SPECS[3:], batch_size=2)
+        # 3 specs at batch_size=2: one batch file, then one single.
+        order.append(None)                       # the batch (any id)
+        order.append(self.SPECS[5].digest())
+        return order
+
+    def test_claims_come_back_in_submission_order(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        order = self.submit_out_of_hash_order(queue)
+        assert sorted(d for d in order if d) != [d for d in order if d]
+        claimed = []
+        while True:
+            task = queue.claim("w1")
+            if task is None:
+                break
+            claimed.append(task)
+        assert [t.digest for t in claimed[:3]] == order[:3]
+        assert claimed[3].is_batch
+        assert [spec for _, spec in claimed[3].members] == self.SPECS[3:5]
+        assert claimed[4].digest == order[4]
+
+    def test_nacked_file_is_claimed_before_later_submissions(
+        self, tmp_path
+    ):
+        queue = WorkQueue(tmp_path / "q")
+        order = self.submit_out_of_hash_order(queue)
+        first = queue.claim("w1")
+        second = queue.claim("w1")
+        queue.nack(first)
+        late = RunSpec("tms", "tiny", "1x4", 4, "glsc")
+        queue.submit(late)
+        assert queue.claim("w2").digest == first.digest == order[0]
+        queue.nack(second)
+        assert queue.claim("w2").digest == order[1]
+        rest = [queue.claim("w2") for _ in range(4)]
+        assert rest[-1].digest == late.digest()
+        assert queue.claim("w2") is None
+
+    def test_expired_lease_keeps_its_place_in_line(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q", lease_s=0.01)
+        order = self.submit_out_of_hash_order(queue)
+        crashed = queue.claim("crashed-worker")
+        queue.requeue_expired(now=9e18)
+        assert queue.claim("healthy-worker").digest == crashed.digest
+        assert queue.pending_digests()[:2] == order[1:3]
+
+    def test_equal_submit_times_break_ties_by_digest(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        specs = sorted(self.SPECS[:3], key=lambda s: s.digest(),
+                       reverse=True)
+        stamp = 1_700_000_000_000_000_000
+        queue.pending_dir.mkdir(parents=True)
+        queue.leased_dir.mkdir(parents=True)
+        for spec in specs:
+            name = f"{stamp:020d}-{spec.digest()}.json"
+            (queue.pending_dir / name).write_text(json.dumps(
+                {"digest": spec.digest(), "spec": spec.to_dict()}
+            ))
+        claimed = [queue.claim("w1").digest for _ in specs]
+        assert claimed == sorted(s.digest() for s in specs)
+
+
 class TestAckNack:
     def test_ack_removes_the_lease(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")

@@ -108,3 +108,37 @@ class TestIndexRecovery:
         assert store.index() == {}
         assert store.rebuild_index() == 3
         assert set(store.index()) == set(DIGESTS[:3])
+
+
+class TestJournalTail:
+    def test_tail_reads_only_new_lines(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        assert store.journal_since(0) == ([], 0)
+        store.save(DIGESTS[0], _stats_for(DIGESTS[0]))
+        offset = store.journal_size()
+        assert offset > 0
+        for digest in DIGESTS[1:3]:
+            store.save(digest, _stats_for(digest))
+        digests, resume = store.journal_since(offset)
+        assert digests == DIGESTS[1:3]
+        assert resume == store.journal_size()
+        assert store.journal_since(resume) == ([], resume)
+
+    def test_partial_line_is_read_whole_next_time(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        journal = store.root / ResultStore.INDEX_NAME
+        store.root.mkdir(parents=True)
+        line = json.dumps({"digest": DIGESTS[0]}) + "\n"
+        journal.write_text(line[:10])               # append in flight
+        assert store.journal_since(0) == ([], 0)
+        journal.write_text(line)
+        assert store.journal_since(0) == ([DIGESTS[0]], len(line))
+
+    def test_rebuilt_journal_is_reread_from_the_top(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        for digest in DIGESTS[:3]:
+            store.save(digest, _stats_for(digest))
+        offset = store.journal_size()
+        store.clear()
+        store.save(DIGESTS[4], _stats_for(DIGESTS[4]))
+        assert store.journal_since(offset)[0] == [DIGESTS[4]]

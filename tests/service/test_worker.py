@@ -12,6 +12,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from repro.bench.suite import BenchSuite
@@ -100,7 +101,8 @@ def test_executor_queue_backend_delegates_to_workers(tmp_path):
     worker = threading.Thread(
         target=worker_loop,
         args=(WorkQueue(queue_dir), store),
-        kwargs={"worker_id": "bg", "idle_exit_s": 10, "poll_s": 0.05},
+        kwargs={"worker_id": "bg", "idle_exit_s": 10, "poll_s": 0.05,
+                "max_tasks": 1},
         daemon=True,
     )
     worker.start()
@@ -112,9 +114,87 @@ def test_executor_queue_backend_delegates_to_workers(tmp_path):
     assert executor.counters.simulated == 0
     assert [t.source for t in executor.telemetry] == ["queue"]
     worker.join(timeout=60)
+    assert not worker.is_alive()
+
+
+def test_record_without_journal_line_is_collected_by_the_scan(tmp_path):
+    """A put whose journal line is lost still reaches the executor.
+
+    The executor tails the store journal every few milliseconds, but
+    the journal is best-effort; the record files are the ground truth.
+    A worker whose journal appends all fail must still have its
+    results collected by the once-per-``queue_poll_s`` existence scan.
+    """
+    import threading
+
+    poll_s = 0.3
+    queue_dir = tmp_path / "queue"
+    store = ResultStore(tmp_path / "store")
+    worker_store = ResultStore(store.root)
+    worker_store._append_index = lambda entry: None     # journal lost
+    saved_at = []
+    save = worker_store.save
+
+    def timed_save(*args, **kwargs):
+        path = save(*args, **kwargs)
+        saved_at.append(time.time())
+        return path
+
+    worker_store.save = timed_save
+    executor = Executor(
+        store=store, backend=f"queue://{queue_dir}",
+        queue_poll_s=poll_s, queue_timeout_s=30,
+    )
+    worker = threading.Thread(
+        target=worker_loop,
+        args=(WorkQueue(queue_dir), worker_store),
+        kwargs={"worker_id": "no-journal", "max_tasks": 1,
+                "idle_exit_s": 10},
+        daemon=True,
+    )
+    worker.start()
+    stats = executor.run(SPEC)
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert store.journal_size() == 0
+    assert stats == Executor().run(SPEC)
+    (collected,) = executor.telemetry
+    assert collected.source == "queue"
+    # One scan period, plus slack for a loaded host.
+    assert collected.created - saved_at[0] <= poll_s + 0.25
 
 
 class TestWorkerLoop:
+    def test_idle_sleep_backs_off_and_resets_after_a_claim(
+        self, tmp_path, monkeypatch
+    ):
+        """Empty claims sleep 1 ms, doubling to ``poll_s``; a claim resets.
+
+        Sleeping is stubbed out, so the test sees the worker's schedule
+        without waiting for it: after ten empty claims one task lands,
+        after ten more another, and the worker stops after both.
+        """
+        import repro.service.worker as worker_mod
+
+        store = ResultStore(tmp_path / "s")
+        queue = WorkQueue(tmp_path / "q")
+        arrivals = {10: SPEC, 20: RunSpec("hip", "tiny", "1x1", 4, "glsc")}
+        sleeps = []
+
+        def fake_sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) in arrivals:
+                queue.submit(arrivals[len(sleeps)])
+
+        monkeypatch.setattr(worker_mod.time, "sleep", fake_sleep)
+        summary = worker_loop(
+            queue, store, worker_id="w", poll_s=0.2, max_tasks=2
+        )
+        assert summary.executed == 2
+        ramp = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.128,
+                0.2, 0.2]
+        assert sleeps == ramp + ramp
+
     def test_skips_digests_the_store_already_holds(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         Executor(store=store).run(SPEC)
