@@ -884,10 +884,11 @@ def _main_worker(argv: List[str]) -> int:
         prog="glsc-harness worker",
         parents=[_cache_parent()],
         description=(
-            "Claim tasks from a queue:// work queue, simulate them, "
-            "and persist the results to the shared result store.  Run "
-            "N of these (any host sharing the filesystem) to drain "
-            "one sweep; expired leases are requeued automatically."
+            "Claim tasks from a queue:// work queue, simulate them "
+            "on every CPU this process may run on, and persist the "
+            "results to the shared result store.  Run one per host "
+            "(any host sharing the filesystem) to drain one sweep; "
+            "expired leases are requeued automatically."
         ),
     )
     parser.add_argument(

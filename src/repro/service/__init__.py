@@ -10,7 +10,8 @@ pair into an always-on service:
   timeout semantics, so N independent worker processes drain one
   sweep and stragglers are retried;
 * :mod:`~repro.service.worker` — the ``repro worker`` drain loop:
-  claim, simulate, persist to the shared store, acknowledge;
+  claim, simulate the claimed file's specs on every usable CPU,
+  persist to the shared store in submission order, acknowledge;
 * :class:`~repro.service.server.SweepServer` — a stdlib-only asyncio
   HTTP frontend (``repro serve``) answering spec-digest queries from
   the store, enqueueing misses, and streaming batched results;

@@ -4,17 +4,22 @@ A worker owns nothing: it binds a :class:`~repro.service.queue.WorkQueue`
 and a shared :class:`~repro.sim.store.ResultStore`, and repeats
 
     requeue expired leases -> claim -> for each spec in the file:
-    (skip if the store already has the digest) ->
-    :func:`~repro.sim.executor.execute_spec` -> store save with
-    worker/host provenance -> ack the file
+    (skip if the store already has the digest) -> submit to the
+    worker's process pool -> in submission order, as each finishes:
+    store save with worker/host provenance -> ack the file
 
-until told to stop.  A single-spec file is a file of one; a batch
-file's members run one by one, each saved as soon as it finishes, so
-results stream back in submission order (the queue claims FIFO).
-N workers on N hosts drain one sweep with no coordination beyond the
-queue directory and the store; determinism guarantees their records
-are byte-identical (sans provenance) to a serial run's, which the
-service tests and CI assert.
+until told to stop.  A single-spec file is a file of one.  The pool
+has one process per CPU the worker may run on, so one worker per host
+keeps every usable core busy on a claimed file's members; more than
+one per host only oversubscribes.  Each member runs through the
+executor's pool entry point, which calls
+:func:`~repro.sim.executor.execute_spec`, so a number never depends on
+how it was scheduled.  Records are saved in submission order (the
+queue claims FIFO), so results stream back in order.  N workers on N
+hosts drain one sweep with no coordination beyond the queue directory
+and the store; determinism guarantees their records are
+byte-identical (sans provenance) to a serial run's, which the service
+tests and CI assert.
 
 Telemetry: the loop counts claims, store-skips, and task outcomes in
 the queue's metrics registry (``worker_claims_total`` etc., labelled
@@ -28,11 +33,13 @@ task carries a sweep ``trace_id``, the worker appends
 ``claimed``/``simulated``/``saved`` spans to its sidecar in the queue
 directory and stamps the trace id into the stored record's
 provenance, so ``repro sweep-trace`` can rebuild the whole
-distributed drain afterwards.
+distributed drain afterwards.  Pool processes run unobserved: all
+telemetry is recorded by the worker process as results come back.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import time
 from dataclasses import dataclass, field
@@ -43,7 +50,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sweeptrace import write_heartbeat
 from repro.obs.telemetry import run_provenance
 from repro.service.queue import Task, WorkQueue
-from repro.sim.executor import execute_spec
+from repro.sim.executor import _worker
 from repro.sim.store import ResultStore
 
 __all__ = ["WorkerSummary", "worker_loop", "default_worker_id"]
@@ -72,7 +79,9 @@ class WorkerSummary:
     failed: int = 0          # specs whose simulation raised
     requeued: int = 0        # expired leases this worker recycled
     claims: int = 0          # queue files claimed
-    sim_wall_s: float = 0.0  # wall seconds spent inside execute_spec
+    #: Sum of the fresh members' simulation walls.  Members run in
+    #: parallel pool processes, so this can exceed ``wall_time_s``.
+    sim_wall_s: float = 0.0
     wall_time_s: float = 0.0
     digests: List[str] = field(default_factory=list)
     # contention roll-up across executed tasks (from MachineStats)
@@ -156,6 +165,13 @@ class _WorkerMetrics:
         )
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (the worker's pool size)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_loop(
     queue: WorkQueue,
     store: ResultStore,
@@ -191,11 +207,12 @@ def worker_loop(
     (the task stays pending for *other* workers, visible in ``failed``
     tallies and the server's queue counts), and ``exit_when_empty``
     treats a queue holding only this worker's failures as drained.
+
+    Members simulate in a process pool with one process per CPU this
+    process may run on, created with the platform's default start
+    method; it lives for this call and is shut down before returning.
     """
     worker_id = worker_id or default_worker_id()
-    # Provenance picks the id up from the environment so the single
-    # execute/save path needs no plumbing through execute_spec.
-    os.environ["REPRO_WORKER_ID"] = worker_id
     summary = WorkerSummary(worker_id=worker_id)
     logger = to_logger(log, component="worker").bind(worker_id=worker_id)
     metrics = _WorkerMetrics(queue.metrics, worker_id)
@@ -218,6 +235,10 @@ def worker_loop(
             )
             last_beat = now
 
+    # The platform's default start method, as in Executor(jobs>1): under
+    # fork, run-time state the caller set up in this process (a patched
+    # dataset registry, say) reaches the pool processes too.
+    pool = concurrent.futures.ProcessPoolExecutor(_usable_cpus())
     try:
         beat(force=True)
         idle_s = 0.0
@@ -242,7 +263,7 @@ def worker_loop(
             metrics.claim()
             if task.trace_id:
                 spans.record("claimed", task.digest, task.trace_id)
-            if not _drain_task(task, queue, store, summary,
+            if not _drain_task(task, pool, queue, store, summary,
                                metrics, logger, spans):
                 poisoned.add(task.digest)
             beat()
@@ -252,6 +273,7 @@ def worker_loop(
             ):
                 break
     finally:
+        pool.shutdown(cancel_futures=True)
         summary.wall_time_s = time.perf_counter() - started
         beat(force=True)
         logger.info(
@@ -279,6 +301,7 @@ def _drained(queue: WorkQueue, poisoned: set) -> bool:
 
 def _drain_task(
     task: Task,
+    pool: concurrent.futures.Executor,
     queue: WorkQueue,
     store: ResultStore,
     summary: WorkerSummary,
@@ -288,18 +311,20 @@ def _drain_task(
 ) -> bool:
     """Run each spec of one claimed file; ack it, or nack on failure.
 
-    Members run in submission order through
-    :func:`~repro.sim.executor.execute_spec`, and each record is saved
-    the moment its simulation ends, so a waiting executor collects it
-    without waiting for the rest of the file.  Members the store
-    already has are skipped: another worker, or an earlier attempt at
-    this file, produced them, and determinism makes re-simulating pure
-    waste.  A member that raises is counted and logged, and the rest
-    still run and land.  The file is acked once at the end, or nacked
-    back to pending if any member failed; a retry skips what landed.
-    Returns whether every member succeeded.
+    Members the store already has are skipped: another worker, or an
+    earlier attempt at this file, produced them, and determinism makes
+    re-simulating pure waste.  The fresh members go to ``pool`` in
+    submission order, so they simulate in parallel, one per pool
+    process.  Their results are taken back in that same order, and each
+    record is saved as soon as its own and every earlier member's
+    future resolves, so a waiting executor collects it without waiting
+    for the rest of the file.  A member that raises (the exception is
+    pickled back from the pool) is counted and logged, and the rest
+    still land.  The file is acked once at the end, or nacked back to
+    pending if any member failed; a retry skips what landed.  Returns
+    whether every member succeeded.
     """
-    ok = True
+    fresh = []
     # A single-spec task is a file of one.
     for digest, spec in task.members or ((task.digest, task.spec),):
         if store.load_record(digest) is not None:
@@ -308,9 +333,11 @@ def _drain_task(
             logger.debug("skip", digest=digest[:12],
                          reason="already in store")
             continue
-        begun = time.perf_counter()
+        fresh.append((digest, spec, pool.submit(_worker, spec)))
+    ok = True
+    for digest, spec, future in fresh:
         try:
-            stats = execute_spec(spec)
+            _, stats, wall_s, pid = future.result()
         except Exception as exc:  # noqa: BLE001 — a worker must survive
             ok = False
             summary.failed += 1
@@ -320,7 +347,6 @@ def _drain_task(
                 error=repr(exc), trace_id=task.trace_id,
             )
             continue
-        wall_s = time.perf_counter() - begun
         summary.sim_wall_s += wall_s
         metrics.simulated(wall_s)
         metrics.contention(stats)
@@ -332,6 +358,8 @@ def _drain_task(
                 wall_s=round(wall_s, 6), cycles=stats.cycles,
             )
         provenance = run_provenance(wall_s)
+        provenance["worker_id"] = summary.worker_id
+        provenance["worker_pid"] = pid
         if task.is_batch:
             provenance["batch_id"] = task.digest
         if task.trace_id:
@@ -350,7 +378,7 @@ def _drain_task(
         summary.digests.append(digest)
         logger.info(
             "done-task", digest=digest[:12], spec=spec.label(),
-            cycles=stats.cycles, wall_s=round(wall_s, 3),
+            cycles=stats.cycles, wall_s=round(wall_s, 3), pid=pid,
             trace_id=task.trace_id,
         )
     if ok:

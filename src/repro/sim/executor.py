@@ -491,6 +491,7 @@ class Executor:
 
         digest_of: Dict[RunSpec, str] = {}
         pending: Dict[str, RunSpec] = {}
+        lookups = {"hits": 0, "misses": 0}
         for spec in sweep:
             if spec in digest_of:
                 continue
@@ -507,13 +508,17 @@ class Executor:
                 self._note_served(resolved, digest, "memo")
                 continue
             if self.store is not None:
-                stored = self.store.load(digest)
+                stored = self.store.load(digest, tally=False)
+                lookups["hits" if stored is not None else "misses"] += 1
                 if stored is not None:
                     self._memo[digest] = stored
                     self.counters.store_hits += 1
                     self._note_served(resolved, digest, "store")
                     continue
             pending[digest] = resolved
+        if self.store is not None:
+            # One store.meta write per sweep, not one per lookup.
+            self.store.bump_tally(**lookups)
 
         if pending:
             self._simulate(pending, tracer=tracer, obs=obs)

@@ -39,9 +39,9 @@ record files — the files stay the ground truth.
 The store also keeps a best-effort hit/miss tally in a ``store.meta``
 sidecar (not a ``*.json`` result file, so it can never be mistaken
 for a record): every :meth:`ResultStore.load` bumps the persistent
-totals, which ``repro cache stats`` surfaces together with the
-simulated wall time the cached records represent (read from each
-record's provenance).
+totals (an executor sweep bumps them once for all its lookups), which
+``repro cache stats`` surfaces together with the simulated wall time
+the cached records represent (read from each record's provenance).
 
 The default cache directory is ``.glsc-cache/`` in the current working
 directory, overridable with the ``REPRO_CACHE_DIR`` environment
@@ -117,10 +117,17 @@ class ResultStore:
 
     # -- read -----------------------------------------------------------
 
-    def load(self, digest: str) -> Optional[MachineStats]:
-        """The stored stats for ``digest``, or ``None`` on a miss."""
+    def load(self, digest: str, tally: bool = True) -> Optional[MachineStats]:
+        """The stored stats for ``digest``, or ``None`` on a miss.
+
+        Each load adds its hit or miss to the persistent tally unless
+        ``tally`` is false; a caller that looks up many digests passes
+        ``tally=False`` and records them all with one :meth:`bump_tally`.
+        """
         record = self.load_record(digest)
-        self._bump_tally(hit=record is not None)
+        if tally:
+            self.bump_tally(hits=int(record is not None),
+                            misses=int(record is None))
         if record is None:
             return None
         return MachineStats.from_dict(record["stats"])
@@ -379,11 +386,18 @@ class ResultStore:
             "misses": int(data.get("misses", 0)),
         }
 
-    def _bump_tally(self, hit: bool) -> None:
-        """Best-effort persistent hit/miss accounting (never raises)."""
+    def bump_tally(self, hits: int = 0, misses: int = 0) -> None:
+        """Add to the persistent hit/miss totals (best effort, never raises).
+
+        One read and one ``os.replace`` of ``store.meta``, whatever the
+        counts; nothing is written when both are zero.
+        """
+        if not (hits or misses):
+            return
         try:
             totals = self.tally()
-            totals["hits" if hit else "misses"] += 1
+            totals["hits"] += hits
+            totals["misses"] += misses
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
                 dir=str(self.root), prefix=".tally.", suffix=".tmp"

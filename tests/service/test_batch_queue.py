@@ -1,8 +1,9 @@
 """Batched queue files: submit_many publishing and worker drain.
 
 One queue file per N specs cuts the per-spec filesystem round-trips.
-The claiming worker runs the file's members one by one and saves each
-record as soon as it finishes, exactly as it runs a single-spec file:
+The claiming worker simulates the file's members in its process pool
+and saves each record in submission order, exactly as it runs a
+single-spec file:
 store records byte-identical (sans provenance) to a serial run,
 per-member store-skip, failing members counted while the rest land,
 whole-file nack on any failure, batch payloads surviving lease

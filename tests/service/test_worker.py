@@ -10,6 +10,8 @@ identity, timestamps) may differ.  Alongside it, in-process
 
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -20,7 +22,7 @@ from repro.obs.log import StructLogger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sweeptrace import collect_spans, read_heartbeats
 from repro.service.queue import WorkQueue
-from repro.service.worker import worker_loop
+from repro.service.worker import _usable_cpus, worker_loop
 from repro.sim.executor import Executor, RunSpec
 from repro.sim.store import ResultStore
 
@@ -349,3 +351,77 @@ class TestWorkerTelemetry:
         ]
         assert len(fails) == 1
         assert fails[0]["level"] == "warning"
+
+
+class TestPoolDrain:
+    """A claimed file's members simulate in the worker's process pool."""
+
+    SPECS = [
+        RunSpec("tms", "A", "1x1", 4, "glsc"),
+        RunSpec("gbc", "A", "1x1", 4, "glsc"),
+        RunSpec("hip", "A", "1x1", 4, "glsc"),
+        RunSpec("tms", "A", "1x1", 4, "base"),
+    ]
+
+    def test_file_members_drain_in_parallel_byte_identical(self, tmp_path):
+        serial_store = ResultStore(tmp_path / "serial")
+        Executor(jobs=1, store=serial_store).run_sweep(self.SPECS)
+
+        stream = io.StringIO()
+        queue = WorkQueue(tmp_path / "q", metrics=MetricsRegistry())
+        store = ResultStore(tmp_path / "pool")
+        queue.submit_many(self.SPECS, batch_size=len(self.SPECS))
+        summary = worker_loop(
+            queue, store, worker_id="w-pool", exit_when_empty=True,
+            log=StructLogger(stream=stream),
+        )
+        assert summary.claims == 1
+        assert summary.executed == len(self.SPECS)
+        assert canonical_records(store) == canonical_records(serial_store)
+
+        done = [
+            record for record in map(json.loads,
+                                     stream.getvalue().splitlines())
+            if record["event"] == "done-task"
+        ]
+        # Saved in submission order, each naming the process it ran in.
+        assert [r["digest"] for r in done] == [
+            spec.digest()[:12] for spec in self.SPECS
+        ]
+        pids = {r["pid"] for r in done}
+        assert os.getpid() not in pids
+        if _usable_cpus() >= 2:
+            assert len(pids) >= 2
+        for spec in self.SPECS:
+            provenance = store.load_record(spec.digest())["provenance"]
+            assert provenance["worker_id"] == "w-pool"
+            assert provenance["worker_pid"] in pids
+        assert multiprocessing.active_children() == []
+
+    def test_poison_member_error_comes_back_from_the_pool(self, tmp_path):
+        stream = io.StringIO()
+        queue = WorkQueue(tmp_path / "q", metrics=MetricsRegistry())
+        bad = RunSpec("no-such-kernel", "tiny", "1x1", 4, "glsc")
+        queue.submit_many([bad, SPEC], batch_size=2)
+        summary = worker_loop(
+            queue, ResultStore(tmp_path / "s"), worker_id="w",
+            exit_when_empty=True, log=StructLogger(stream=stream),
+        )
+        assert (summary.failed, summary.executed) == (1, 1)
+        (fail,) = [
+            record for record in map(json.loads,
+                                     stream.getvalue().splitlines())
+            if record["event"] == "fail"
+        ]
+        assert fail["error"].startswith("ConfigError(")
+        assert multiprocessing.active_children() == []
+
+    def test_worker_id_does_not_leak_into_later_executors(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q", metrics=MetricsRegistry())
+        queue.submit(SPEC)
+        worker_loop(queue, ResultStore(tmp_path / "s"), worker_id="w-old",
+                    exit_when_empty=True)
+        store = ResultStore(tmp_path / "local")
+        Executor(store=store).run(SPEC)
+        provenance = store.load_record(SPEC.digest())["provenance"]
+        assert provenance["worker_id"] == ""

@@ -176,6 +176,27 @@ class TestMaintenance:
         assert tally["hits"] == 1
         assert tally["misses"] == 2
 
+    def test_sweep_writes_the_tally_once(self, store, monkeypatch):
+        """A cold N-spec sweep replaces store.meta once, not N times."""
+        import os
+
+        specs = [SPEC, RunSpec("hip", "tiny", "1x1", 4, "glsc"),
+                 RunSpec("tms", "tiny", "1x1", 4, "base")]
+        replaced = []
+        replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        Executor(store=store).run_sweep(specs)
+        assert replaced.count(ResultStore.TALLY_NAME) == 1
+        assert store.tally() == {"hits": 0, "misses": len(specs)}
+        Executor(store=store).run_sweep(specs)
+        assert replaced.count(ResultStore.TALLY_NAME) == 2
+        assert store.tally() == {"hits": len(specs), "misses": len(specs)}
+
     def test_tally_sidecar_is_not_a_record(self, store):
         Executor(store=store).run(SPEC)
         store.load(SPEC.digest())
