@@ -3,18 +3,20 @@
 Two artifacts live at the repo root, both committed:
 
 * ``BENCH_<git-sha>.json`` — the full document of one bench run
-  (every point's wall-time distribution, cycles, stats summary, and
-  the fidelity metrics).  One file per archived run; the comparator
+  (every point's cycles, stats summary, phase and contention blocks,
+  and the fidelity metrics).  One file per archived run; the comparator
   reads these directly.
 * ``BENCH_TRAJECTORY.jsonl`` — one compact line per archived run
-  (headline numbers plus per-point medians), append-only.  This is
+  (headline numbers plus per-point cycles), append-only.  This is
   what sparklines and "previous baseline" lookups read, so the
   history stays greppable even when old ``BENCH_*.json`` files are
   pruned.
 
 Everything is schema-versioned (``BENCH_SCHEMA_VERSION``); loaders
 reject documents from a different schema rather than mis-reading
-them.
+them.  Within a schema, readers ignore keys they do not use, so
+archives written when bench runs were still timed (``wall_s``,
+``sim_khz``, ``repeats``, ``backend``) load unchanged.
 """
 
 from __future__ import annotations
@@ -122,21 +124,13 @@ def trajectory_entry(doc: Mapping[str, Any]) -> Dict[str, Any]:
     """Condense a bench document into one trajectory line.
 
     Keeps everything the comparator and the sparkline renderer need:
-    per-point wall medians / MADs / cycles, the fidelity metrics, and
-    headline aggregates.
+    per-point cycles, the fidelity metrics, the contention roll-up and
+    headline counts.
     """
     points = doc["points"]
-    wall: Dict[str, Dict[str, float]] = {}
-    cycles: Dict[str, int] = {}
-    for point in points:
-        wall[point["id"]] = {
-            "median": point["wall_s"]["median"],
-            "mad": point["wall_s"]["mad"],
-        }
-        cycles[point["id"]] = point["cycles"]
-    total_wall = sum(w["median"] for w in wall.values())
-    total_cycles = sum(cycles.values())
-    total_instructions = sum(p.get("instructions", 0) for p in points)
+    cycles: Dict[str, int] = {
+        point["id"]: point["cycles"] for point in points
+    }
     speedups = list(doc.get("fidelity", {}).get("speedup", {}).values())
     contention: Dict[str, Dict[str, Any]] = {
         point["id"]: point["contention"]
@@ -161,28 +155,16 @@ def trajectory_entry(doc: Mapping[str, Any]) -> Dict[str, Any]:
         "git_sha": doc["git_sha"],
         "created": doc["created"],
         "suite": doc["suite"],
-        "repeats": doc["repeats"],
-        # Which execution backend produced the walls ("solo" unless
-        # the doc says otherwise) — batch walls are cycle-shares of a
-        # shared loop, so cross-backend wall diffs are expected.
-        "backend": doc.get("backend", "solo"),
         "headline": {
             "points": len(points),
-            "total_wall_s": total_wall,
-            "total_cycles": total_cycles,
-            "total_instructions": total_instructions,
-            "cyc_per_s": total_cycles / total_wall if total_wall else 0.0,
-            "sim_khz": (
-                total_cycles / total_wall / 1e3 if total_wall else 0.0
-            ),
-            "instr_per_sec": (
-                total_instructions / total_wall if total_wall else 0.0
+            "total_cycles": sum(cycles.values()),
+            "total_instructions": sum(
+                p.get("instructions", 0) for p in points
             ),
             "mean_speedup": (
                 sum(speedups) / len(speedups) if speedups else 0.0
             ),
         },
-        "wall": wall,
         "cycles": cycles,
         "fidelity": doc.get("fidelity", {}),
         **({"contention": entry_contention} if entry_contention else {}),

@@ -24,9 +24,8 @@ The attribution is a heuristic (the simulator does not tag each
 instruction with "this is attempt N"), but it is deterministic, sums
 exactly to capacity, and moves the right way under contention — the
 property the bench report needs.  ``repro bench run`` collects it via
-one extra *untimed* observed pass per point (so the timed samples
-stay sinkless and unperturbed), asserting the observed pass retires
-identical cycles.
+one extra observed pass per point after the sinkless one, asserting
+the observed pass retires identical cycles.
 """
 
 from __future__ import annotations

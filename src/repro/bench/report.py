@@ -1,10 +1,10 @@
 """Markdown rendering of a comparison plus the trajectory history.
 
 The report is what a human reads after CI flags a bench run: the
-verdict table (exceptions first), headline aggregates, and
-sparkline-style deltas over the archived trajectory so a slow leak —
-each commit 2% slower, never tripping the per-commit bound — is
-visible at a glance.
+verdict table (exceptions first), the fidelity, phase and contention
+snapshots, and sparklines of the deterministic headlines over the
+archived trajectory, so a slow drift — each commit nudging the mean
+Base/GLSC ratio, never leaving a band — is visible at a glance.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def render_markdown(
             lines.append(
                 "Reservation kills, failed GLSC element lanes, and the "
                 "hottest line per point (from the contention "
-                "observatory's untimed observed pass)."
+                "observatory's observed pass)."
             )
             lines.append("")
             lines.append(
@@ -181,8 +181,6 @@ def render_markdown(
         lines.append("| headline | trend | latest |")
         lines.append("|---|---|---|")
         for key, label, fmt in (
-            ("total_wall_s", "total wall (s)", "{:.2f}"),
-            ("cyc_per_s", "simulated cycles/s", "{:.0f}"),
             ("mean_speedup", "mean Base/GLSC ratio", "{:.3f}"),
             ("total_cycles", "total simulated cycles", "{:.0f}"),
         ):

@@ -12,7 +12,7 @@ plus six non-experiment subcommands::
     python -m repro.harness trace hip --dataset A --out hip.trace.json
     python -m repro.harness profile tms --variant glsc
     python -m repro.harness contend tms --dataset tiny --json
-    python -m repro.harness bench run --suite smoke --repeats 1
+    python -m repro.harness bench run --suite smoke
     python -m repro.harness cache stats
     python -m repro.harness serve --queue queue://.glsc-queue
     python -m repro.harness worker queue://.glsc-queue --exit-when-empty
@@ -26,11 +26,14 @@ and metrics aggregation and prints the latency/attribution report.
 and prints the who-kills-whom kill matrix, hot-line table, retry-storm
 timeline, and retry-depth histogram (``--json`` for machines).
 ``bench`` is the regression observatory (see :mod:`repro.bench`):
-``bench run`` archives a ``BENCH_<git-sha>.json`` + trajectory point,
-``bench compare`` gates it against the previous baseline and the
-committed fidelity-reference bands (exit 1 on a regression), ``bench
-report`` renders the markdown verdict/trajectory report, and ``bench
+``bench run`` simulates each point of a suite once and archives a
+``BENCH_<git-sha>.json`` + trajectory point, ``bench compare`` gates
+it against the previous baseline's cycles and the committed
+fidelity-reference bands (exit 1 on a regression), ``bench report``
+renders the markdown verdict/trajectory report, and ``bench
 reference`` distills fresh reference bands from an archived run.
+``bench`` checks the model's output, not the simulator's speed; speed
+claims are same-host A/Bs made with ``perfbench/run.py``.
 ``cache`` inspects and maintains the on-disk result store
 (``ls`` / ``stats`` / ``prune``).  ``serve`` and ``worker`` are the
 sweep service (:mod:`repro.service`): ``serve`` answers spec-digest
@@ -464,9 +467,10 @@ def _main_bench(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="glsc-harness bench",
         description=(
-            "Performance & fidelity regression observatory: archive a "
-            "bench run, gate it against the previous baseline and the "
-            "paper-shape reference bands, and render trend reports."
+            "Model-output regression observatory: archive a bench run, "
+            "gate its cycles against the previous baseline and its "
+            "speedups against the paper-shape reference bands, and "
+            "render trend reports."
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -490,10 +494,6 @@ def _main_bench(argv: List[str]) -> int:
     _add_dir(p_run)
     p_run.add_argument("--suite", default="full", choices=list(SUITE_NAMES))
     p_run.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="fresh simulations per point (default: 3)",
-    )
-    p_run.add_argument(
         "--no-trajectory", action="store_true",
         help="write the BENCH file only; do not append the trajectory",
     )
@@ -506,17 +506,7 @@ def _main_bench(argv: List[str]) -> int:
     p_run.add_argument(
         "--no-phases", action="store_true",
         help="skip the per-point gather/compute/retry/stall "
-             "attribution pass (halves bench wall time)",
-    )
-    p_run.add_argument(
-        "--backend", default="solo", choices=("solo", "batch"),
-        help="how timed repeats simulate: one machine at a time "
-             "(solo, default) or many per process through the "
-             "batched backend (batch)",
-    )
-    p_run.add_argument(
-        "--batch-size", type=int, default=16, metavar="N",
-        help="specs per batch with --backend batch (default: 16)",
+             "attribution pass (halves the simulations)",
     )
 
     for verb, help_text in (
@@ -534,33 +524,13 @@ def _main_bench(argv: List[str]) -> int:
             help=f"fidelity-reference bands (default: --dir/{REFERENCE_NAME})",
         )
         p.add_argument(
-            "--skip-perf", action="store_true",
-            help="skip wall-time verdicts (baseline from another machine)",
-        )
-        p.add_argument(
             "--skip-cycles", action="store_true",
             help="skip deterministic cycle-drift verdicts",
-        )
-        p.add_argument(
-            "--rel-tol", type=float, default=0.15, metavar="F",
-            help="relative wall-time tolerance (default: 0.15)",
-        )
-        p.add_argument(
-            "--gate-throughput", action="store_true",
-            help="escalate the (normally informational) aggregate "
-                 "sim_khz and cycles-per-instruction checks to "
-                 "failing verdicts at --rel-tol",
         )
         if verb == "report":
             p.add_argument(
                 "--out", type=Path, default=None, metavar="FILE",
                 help="write markdown here instead of stdout",
-            )
-            p.add_argument(
-                "--html", action="store_true",
-                help="render the trajectory dashboard as static HTML "
-                     "instead of the markdown report (--out defaults "
-                     "to --dir/bench_dashboard.html)",
             )
 
     p_ref = sub.add_parser(
@@ -589,19 +559,14 @@ def _main_bench(argv: List[str]) -> int:
     if args.verb == "run":
         suite = get_suite(args.suite, protocol=args.protocol)
         sha = current_git_sha(args.dir)
-        backend_note = (
-            f", batched x{args.batch_size}"
-            if args.backend == "batch" else ""
-        )
         print(
             f"bench run: suite {suite.name} ({len(suite)} points), "
-            f"{args.repeats} repeat(s), sha {sha}{backend_note}"
+            f"sha {sha}"
         )
         runner = BenchRunner(
-            suite, repeats=args.repeats, git_sha=sha,
+            suite, git_sha=sha,
             progress=lambda msg: print(f"  {msg}"),
             phases=not args.no_phases,
-            backend=args.backend, batch_size=args.batch_size,
         )
         if args.profile:
             import cProfile
@@ -621,9 +586,7 @@ def _main_bench(argv: List[str]) -> int:
         print(
             f"archived {path} "
             f"({headline['points']} points, "
-            f"{headline['total_wall_s']:.2f}s median wall, "
-            f"{headline['sim_khz']:.1f} sim_khz, "
-            f"{headline['instr_per_sec']:.0f} instr/s, "
+            f"{headline['total_cycles']} cycles, "
             f"mean Base/GLSC {headline['mean_speedup']:.3f})"
             + ("" if args.no_trajectory else f"; trajectory -> {trajectory_path}")
         )
@@ -673,31 +636,11 @@ def _main_bench(argv: List[str]) -> int:
         return 0
 
     trajectory = load_trajectory(trajectory_path)
-
-    if args.verb == "report" and args.html:
-        from repro.bench.dashboard import render_dashboard
-
-        out = args.out or (args.dir / "bench_dashboard.html")
-        html_text = render_dashboard(
-            trajectory, suite=doc.get("suite")
-        )
-        out.write_text(html_text, encoding="utf-8")
-        print(
-            f"dashboard -> {out} "
-            f"({len(trajectory)} trajectory entries)"
-        )
-        return 0
-
     baseline = previous_entry(
         trajectory, doc.get("suite", "?"), exclude_sha=doc.get("git_sha")
     )
     reference = load_reference(args.reference or (args.dir / REFERENCE_NAME))
-    comparator = Comparator(
-        rel_tol=args.rel_tol,
-        check_perf=not args.skip_perf,
-        check_cycles=not args.skip_cycles,
-        gate_throughput=args.gate_throughput,
-    )
+    comparator = Comparator(check_cycles=not args.skip_cycles)
     comparison = comparator.compare(doc, baseline, reference)
 
     if args.verb == "report":

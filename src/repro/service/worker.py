@@ -42,6 +42,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
@@ -114,6 +115,11 @@ class _WorkerMetrics:
         self.tasks = registry.counter(
             "worker_tasks_total", "Claimed-task outcomes",
             labelnames=("worker_id", "outcome"),
+        )
+        self.pool_rebuilds = registry.counter(
+            "worker_pool_rebuilds_total",
+            "Process pools rebuilt after a pool process died",
+            labelnames=("worker_id",),
         )
         self.sim_seconds = registry.histogram(
             "worker_sim_seconds",
@@ -211,6 +217,9 @@ def worker_loop(
     Members simulate in a process pool with one process per CPU this
     process may run on, created with the platform's default start
     method; it lives for this call and is shut down before returning.
+    If a pool process dies (killed, out of memory), no member is at
+    fault: the file goes back to pending without being poisoned, the
+    pool is replaced, and the drain goes on.
     """
     worker_id = worker_id or default_worker_id()
     summary = WorkerSummary(worker_id=worker_id)
@@ -263,9 +272,19 @@ def worker_loop(
             metrics.claim()
             if task.trace_id:
                 spans.record("claimed", task.digest, task.trace_id)
-            if not _drain_task(task, pool, queue, store, summary,
-                               metrics, logger, spans):
-                poisoned.add(task.digest)
+            try:
+                if not _drain_task(task, pool, queue, store, summary,
+                                   metrics, logger, spans):
+                    poisoned.add(task.digest)
+            except BrokenProcessPool as exc:
+                queue.nack(task)
+                logger.warning("pool-broken", digest=task.digest[:12],
+                               error=repr(exc))
+                pool.shutdown(cancel_futures=True)
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    _usable_cpus()
+                )
+                metrics.pool_rebuilds.inc(worker_id=worker_id)
             beat()
             if (
                 max_tasks is not None
@@ -322,7 +341,8 @@ def _drain_task(
     pickled back from the pool) is counted and logged, and the rest
     still land.  The file is acked once at the end, or nacked back to
     pending if any member failed; a retry skips what landed.  Returns
-    whether every member succeeded.
+    whether every member succeeded.  A dead pool process raises
+    :class:`BrokenProcessPool` out of here, leaving the file claimed.
     """
     fresh = []
     # A single-spec task is a file of one.
@@ -338,6 +358,8 @@ def _drain_task(
     for digest, spec, future in fresh:
         try:
             _, stats, wall_s, pid = future.result()
+        except BrokenProcessPool:
+            raise                   # the pool's fault; worker_loop recovers
         except Exception as exc:  # noqa: BLE001 — a worker must survive
             ok = False
             summary.failed += 1

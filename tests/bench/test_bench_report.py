@@ -32,7 +32,7 @@ class TestMarkdownReport:
         suite = BenchSuite.grid(
             "tiny", ("tms",), "tiny", topologies=("1x2",), widths=(4,)
         )
-        return BenchRunner(suite, repeats=1, git_sha="abc1234").run()
+        return BenchRunner(suite, git_sha="abc1234").run()
 
     def test_clean_report(self, doc):
         comparison = Comparator().compare(
@@ -46,15 +46,18 @@ class TestMarkdownReport:
         assert "Every metric within bounds." in markdown
         assert "## Fidelity snapshot" in markdown
         assert "## Trajectory" in markdown
-        assert "total wall (s)" in markdown
 
     def test_regressed_report_lists_exceptions(self, doc):
         import copy
 
-        slowed = copy.deepcopy(doc)
-        for point in slowed["points"]:
-            point["wall_s"]["median"] *= 10
-        comparison = Comparator().compare(slowed, trajectory_entry(doc))
+        shifted = copy.deepcopy(doc)
+        shifted["fidelity"]["speedup"] = {
+            key: value * 3
+            for key, value in doc["fidelity"]["speedup"].items()
+        }
+        comparison = Comparator().compare(
+            shifted, trajectory_entry(doc), distill_reference(doc)
+        )
         markdown = render_markdown(comparison)
         assert "Gate: REGRESSED" in markdown
         assert "## Exceptions" in markdown
@@ -66,8 +69,7 @@ class TestFullSuiteTier2:
     """The real observatory grid, end to end (slow; tier-2 only)."""
 
     def test_full_suite_runs_and_self_compares_clean(self):
-        doc = BenchRunner(get_suite("full"), repeats=1,
-                          git_sha="tier2run").run()
+        doc = BenchRunner(get_suite("full"), git_sha="tier2run").run()
         assert len(doc["points"]) == 84
         assert doc["deterministic"] is True
         # 28 (kernel, width, topology) cells => 42 ratio keys at 2

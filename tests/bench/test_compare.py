@@ -1,12 +1,15 @@
 """Comparator tests — the drift gate must actually catch drift.
 
-The acceptance-shaped scenarios: re-running an unchanged point within
-noise bounds yields ``ok``; a synthetic slowdown or a fidelity-band
-violation yields ``regressed`` and a nonzero CLI exit code.
+The acceptance-shaped scenarios: re-running unchanged code yields
+``ok``; drifted cycles yield ``changed``; a fidelity-band violation
+yields ``regressed`` and a nonzero CLI exit code; archives written when
+bench runs were still timed load and compare without wall verdicts.
 """
 
 import copy
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,8 @@ from repro.bench.fidelity import distill_reference
 from repro.bench.suite import BenchSuite
 from repro.harness.cli import main
 
+REPO = Path(__file__).resolve().parents[2]
+
 
 def tiny_suite():
     return BenchSuite.grid(
@@ -33,7 +38,7 @@ def tiny_suite():
 
 @pytest.fixture(scope="module")
 def doc():
-    return BenchRunner(tiny_suite(), repeats=2, git_sha="aaa0001").run()
+    return BenchRunner(tiny_suite(), git_sha="aaa0001").run()
 
 
 @pytest.fixture
@@ -41,7 +46,7 @@ def reference(doc):
     return distill_reference(doc)
 
 
-class TestPerfGate:
+class TestBaselineGate:
     def test_unchanged_run_is_ok(self, doc, reference):
         comparison = Comparator().compare(
             doc, trajectory_entry(doc), reference
@@ -51,155 +56,26 @@ class TestPerfGate:
         assert all(
             v.verdict in ("ok", "skipped") for v in comparison.verdicts
         )
+        assert {v.kind for v in comparison.verdicts} == {
+            "cycles", "fidelity",
+        }
 
-    def test_rerun_within_noise_is_ok(self, doc, reference):
-        """An actual fresh re-run of the same code stays within bounds."""
-        rerun = BenchRunner(tiny_suite(), repeats=2, git_sha="aaa0002").run()
+    def test_rerun_is_ok(self, doc, reference):
+        """An actual fresh re-run of the same code compares clean."""
+        rerun = BenchRunner(tiny_suite(), git_sha="aaa0002").run()
         comparison = Comparator().compare(
             rerun, trajectory_entry(doc), reference
         )
         assert not comparison.failed
-
-    def test_synthetic_slowdown_regresses(self, doc, reference):
-        slowed = copy.deepcopy(doc)
-        # 100x, not 10x: the tiny-suite points run in a few ms, and a
-        # 10x slowdown on a 2ms point is within the comparator's
-        # absolute scheduling-noise floor (by design).
-        for point in slowed["points"]:
-            point["wall_s"]["median"] *= 100
-        comparison = Comparator().compare(
-            slowed, trajectory_entry(doc), reference
-        )
-        regressed = comparison.by_verdict("regressed")
-        assert comparison.failed
-        assert {v.kind for v in regressed} == {"perf"}
-        assert len(regressed) == len(doc["points"])
-
-    def test_synthetic_speedup_is_improved_not_failing(self, doc, reference):
-        faster = copy.deepcopy(doc)
-        for point in faster["points"]:
-            point["wall_s"]["median"] /= 10
-        # Pin the noise bound to rel_tol alone: with only 2 repeats the
-        # MAD term (and the absolute floor on sub-ms runs) can swallow
-        # even a 10x improvement.
-        comparison = Comparator(mad_mult=0.0, abs_floor_s=0.0).compare(
-            faster, trajectory_entry(doc), reference
-        )
-        assert not comparison.failed
-        assert comparison.by_verdict("improved")
+        assert comparison.by_verdict("changed") == []
 
     def test_missing_point_reported(self, doc):
         shrunk = copy.deepcopy(doc)
         dropped = shrunk["points"].pop()
         comparison = Comparator().compare(shrunk, trajectory_entry(doc))
         missing = comparison.by_verdict("missing")
-        assert [v.metric for v in missing] == [f"wall:{dropped['id']}"]
-
-    def test_skip_perf_disables_wall_verdicts(self, doc):
-        slowed = copy.deepcopy(doc)
-        for point in slowed["points"]:
-            point["wall_s"]["median"] *= 10
-        comparison = Comparator(check_perf=False).compare(
-            slowed, trajectory_entry(doc)
-        )
-        assert not any(v.kind == "perf" for v in comparison.verdicts)
+        assert [v.metric for v in missing] == [f"cycles:{dropped['id']}"]
         assert not comparison.failed
-
-
-class TestThroughputReport:
-    """sim_khz verdicts are informational: visible, never gating."""
-
-    def test_unchanged_throughput_is_ok(self, doc):
-        comparison = Comparator().compare(doc, trajectory_entry(doc))
-        verdicts = [
-            v for v in comparison.verdicts if v.kind == "throughput"
-        ]
-        assert verdicts and all(
-            v.verdict in ("ok", "new") for v in verdicts
-        )
-
-    def test_throughput_drop_changes_but_never_fails(self, doc):
-        slowed = copy.deepcopy(doc)
-        for point in slowed["points"]:
-            point["wall_s"]["median"] *= 100
-        comparison = Comparator(check_cycles=False).compare(
-            slowed, trajectory_entry(doc)
-        )
-        khz = [
-            v for v in comparison.verdicts
-            if v.metric.startswith("sim_khz:")
-        ]
-        assert len(khz) == 1
-        assert khz[0].verdict == "changed"
-        # The wall-time gate regresses, but the throughput verdict
-        # alone must not: re-check with the perf points stripped of
-        # regressions by comparing only the throughput verdicts.
-        assert all(v.verdict != "regressed" for v in khz)
-
-    def test_skip_perf_disables_wall_throughput_keeps_proxy(self, doc):
-        """--skip-perf drops the wall-based sim_khz verdicts but keeps
-        the deterministic cycles-per-instruction proxy (it is
-        machine-independent, so a foreign baseline cannot distort it).
-        """
-        comparison = Comparator(check_perf=False).compare(
-            doc, trajectory_entry(doc)
-        )
-        throughput = [
-            v for v in comparison.verdicts if v.kind == "throughput"
-        ]
-        assert all(
-            v.metric.startswith("cyc_per_instr:") for v in throughput
-        )
-        assert len(throughput) == 1
-
-    def test_gate_throughput_escalates_khz_drop(self, doc):
-        slowed = copy.deepcopy(doc)
-        for point in slowed["points"]:
-            point["wall_s"]["median"] *= 100
-        comparison = Comparator(
-            check_perf=True, check_cycles=False, gate_throughput=True
-        ).compare(slowed, trajectory_entry(doc))
-        khz = [
-            v for v in comparison.verdicts
-            if v.metric.startswith("sim_khz:")
-        ]
-        assert len(khz) == 1
-        assert khz[0].verdict == "regressed"
-        assert comparison.failed
-
-    def test_proxy_gates_on_cpi_drift_only_when_asked(self, doc):
-        drifted = copy.deepcopy(doc)
-        for point in drifted["points"]:
-            point["cycles"] = int(point["cycles"] * 2)
-        baseline = trajectory_entry(doc)
-        informational = Comparator(check_perf=False).compare(
-            drifted, baseline
-        )
-        proxy = [
-            v for v in informational.verdicts
-            if v.metric.startswith("cyc_per_instr:")
-        ]
-        assert len(proxy) == 1 and proxy[0].verdict == "changed"
-        gated = Comparator(
-            check_perf=False, gate_throughput=True
-        ).compare(drifted, baseline)
-        proxy = [
-            v for v in gated.verdicts
-            if v.metric.startswith("cyc_per_instr:")
-        ]
-        assert len(proxy) == 1 and proxy[0].verdict == "regressed"
-        assert gated.failed
-
-    def test_pre_sim_khz_baseline_falls_back_to_cyc_per_s(self, doc):
-        entry = trajectory_entry(doc)
-        old = entry["headline"].pop("sim_khz")
-        comparison = Comparator().compare(doc, entry)
-        khz = [
-            v for v in comparison.verdicts
-            if v.metric.startswith("sim_khz:")
-        ]
-        assert len(khz) == 1
-        assert khz[0].old == pytest.approx(old, rel=1e-9)
 
 
 class TestCycleDrift:
@@ -277,14 +153,12 @@ class TestCliGate:
         self, tmp_path, capsys, doc, reference
     ):
         self._archive(tmp_path, doc, reference)
-        # Tamper with the archived document: slow one point down 100x
-        # (10x on a few-ms point would hide inside the absolute
-        # scheduling-noise floor) and push one speedup ratio far
-        # outside its reference band.
+        # Tamper with the archived document: drift one point's cycles
+        # and push one speedup ratio far outside its reference band.
         path = tmp_path / f"BENCH_{doc['git_sha']}.json"
         tampered = load_bench(path)
         tampered["git_sha"] = "bbb0002"
-        tampered["points"][0]["wall_s"]["median"] *= 100
+        tampered["points"][0]["cycles"] += 100
         key = next(iter(tampered["fidelity"]["speedup"]))
         tampered["fidelity"]["speedup"][key] *= 5
         write_bench(tampered, tmp_path)
@@ -296,7 +170,8 @@ class TestCliGate:
         out = capsys.readouterr().out
         assert code == 1
         assert "GATE: REGRESSED" in out
-        assert "wall:" in out and "speedup:" in out
+        assert "cycles:" in out and "speedup:" in out
+        assert "wall:" not in out
 
     def test_previous_entry_skips_own_sha(self, doc):
         first = trajectory_entry(doc)
@@ -312,3 +187,41 @@ class TestCliGate:
         entry = append_trajectory(doc, path)
         loaded = load_trajectory(path)
         assert loaded == [json.loads(json.dumps(entry))]
+
+
+class TestTimedArchives:
+    """Archives from when bench runs were timed still load and gate."""
+
+    def test_old_archive_yields_only_deterministic_verdicts(
+        self, tmp_path, capsys
+    ):
+        for name in ("BENCH_3447dc1.json", "BENCH_TRAJECTORY.jsonl",
+                     "BENCH_REFERENCE.json"):
+            shutil.copy(REPO / name, tmp_path / name)
+        old = load_bench(tmp_path / "BENCH_3447dc1.json")
+        assert "wall_s" in old["points"][0]
+
+        code = main([
+            "bench", "compare", "--dir", str(tmp_path),
+            "--bench", str(tmp_path / "BENCH_3447dc1.json"),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "GATE: ok" in out
+        for word in ("wall:", "sim_khz:", "instr_per_sec:",
+                     "cyc_per_instr:"):
+            assert word not in out
+
+        trajectory = load_trajectory(tmp_path / "BENCH_TRAJECTORY.jsonl")
+        baseline = previous_entry(trajectory, old["suite"],
+                                  exclude_sha=old["git_sha"])
+        assert baseline is not None and "wall" in baseline
+        reference = json.loads(
+            (tmp_path / "BENCH_REFERENCE.json").read_text()
+        )
+        comparison = Comparator().compare(old, baseline, reference)
+        prefixes = {v.metric.split(":", 1)[0] for v in comparison.verdicts}
+        assert prefixes <= {
+            "cycles", "speedup", "failure_rate", "failure_dominant",
+        }
+        assert {"cycles", "speedup", "failure_rate"} <= prefixes

@@ -92,7 +92,7 @@ class TestRunnerIntegration:
         suite = BenchSuite.grid(
             "tiny", ("tms",), "tiny", topologies=("1x2",), widths=(4,)
         )
-        return BenchRunner(suite, repeats=1, git_sha="abc1234").run()
+        return BenchRunner(suite, git_sha="abc1234").run()
 
     def test_every_point_carries_a_phase_breakdown(self, doc):
         for point in doc["points"]:
@@ -128,9 +128,7 @@ class TestRunnerIntegration:
         suite = BenchSuite.grid(
             "tiny", ("tms",), "tiny", topologies=("1x1",), widths=(1,)
         )
-        doc = BenchRunner(
-            suite, repeats=1, git_sha="abc1234", phases=False
-        ).run()
+        doc = BenchRunner(suite, git_sha="abc1234", phases=False).run()
         assert all("phases" not in p for p in doc["points"])
 
     def test_observed_pass_does_not_perturb_cycles(self, doc):

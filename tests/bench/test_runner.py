@@ -1,10 +1,11 @@
-"""BenchRunner tests: fresh repeats, aggregation, document schema."""
+"""BenchRunner tests: one fresh pass per point, document schema."""
 
 import pytest
 
 from repro.bench.baseline import BENCH_SCHEMA_VERSION
-from repro.bench.runner import BenchRunner, mad
+from repro.bench.runner import BenchRunner
 from repro.bench.suite import BenchSuite
+from repro.errors import VerificationError
 
 
 def tiny_suite(name="tiny"):
@@ -16,17 +17,7 @@ def tiny_suite(name="tiny"):
 @pytest.fixture
 def doc(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SHA", "cafef00")
-    return BenchRunner(tiny_suite(), repeats=2).run()
-
-
-class TestMad:
-    def test_single_sample_has_no_spread(self):
-        assert mad([1.0]) == 0.0
-
-    def test_robust_center(self):
-        # One outlier does not blow the scale up: median of |x - 2| over
-        # {1, 0, 0, 98} = 0.5.
-        assert mad([1.0, 2.0, 2.0, 100.0]) == 0.5
+    return BenchRunner(tiny_suite()).run()
 
 
 class TestRunnerDocument:
@@ -34,20 +25,18 @@ class TestRunnerDocument:
         assert doc["schema_version"] == BENCH_SCHEMA_VERSION
         assert doc["git_sha"] == "cafef00"
         assert doc["suite"] == "tiny"
-        assert doc["repeats"] == 2
         assert doc["deterministic"] is True
         assert doc["provenance"]["repro_version"]
 
-    def test_one_entry_per_point_with_all_samples(self, doc):
+    def test_one_untimed_entry_per_point(self, doc):
         assert len(doc["points"]) == 4
         for point in doc["points"]:
-            wall = point["wall_s"]
-            assert len(wall["samples"]) == 2
-            assert wall["min"] <= wall["median"]
-            assert wall["mad"] >= 0.0
             assert point["cycles"] > 0
-            assert point["cyc_per_s"] > 0
+            assert point["instructions"] > 0
             assert point["summary"]["cycles"] == point["cycles"]
+            assert not {"wall_s", "sim_khz", "cyc_per_s"} & set(point)
+        assert not {"repeats", "backend"} & set(doc)
+        assert "wall_time_s" not in doc["provenance"]
 
     def test_fidelity_from_collected_stats(self, doc):
         """Speedups/failure mixes come from MachineStats of this run."""
@@ -80,7 +69,7 @@ class TestRunnerDocument:
 
     def test_no_phases_run_omits_contention(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SHA", "cafef00")
-        doc = BenchRunner(tiny_suite(), repeats=1, phases=False).run()
+        doc = BenchRunner(tiny_suite(), phases=False).run()
         for point in doc["points"]:
             assert "contention" not in point
             assert "phases" not in point
@@ -108,25 +97,20 @@ class TestRunnerDocument:
         ]
         assert "contention" not in trajectory_entry(stripped)
 
-    def test_repeats_validated(self):
-        with pytest.raises(ValueError):
-            BenchRunner(tiny_suite(), repeats=0)
+    def test_observed_pass_must_match_the_sinkless_one(
+        self, monkeypatch
+    ):
+        """A sink that perturbs the model fails the run, loudly."""
+        from repro.bench import runner as runner_mod
 
-    def test_repeats_are_fresh_not_cached(self, monkeypatch):
-        """Both repeats must actually simulate (no memo/store serving)."""
-        monkeypatch.setenv("REPRO_BENCH_SHA", "cafef00")
-        from repro.sim import executor as executor_mod
+        original = runner_mod.execute_spec
 
-        calls = []
-        original = executor_mod.execute_spec
+        def perturbed(spec, *args, obs=None, **kwargs):
+            stats = original(spec, *args, obs=obs, **kwargs)
+            if obs is not None:
+                stats.cycles += 1
+            return stats
 
-        def counting(spec, *args, **kwargs):
-            calls.append(spec)
-            return original(spec, *args, **kwargs)
-
-        monkeypatch.setattr(executor_mod, "execute_spec", counting)
-        suite = BenchSuite.grid(
-            "one", ("tms",), "tiny", topologies=("1x2",), widths=(4,)
-        )
-        BenchRunner(suite, repeats=3).run()
-        assert len(calls) == len(suite) * 3
+        monkeypatch.setattr(runner_mod, "execute_spec", perturbed)
+        with pytest.raises(VerificationError, match="under observation"):
+            BenchRunner(tiny_suite(), git_sha="cafef00").run()

@@ -124,7 +124,7 @@ class TestBenchSubcommand:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_BENCH_SHA", "feed123")
-        assert main(["bench", "run", "--suite", "smoke", "--repeats", "1",
+        assert main(["bench", "run", "--suite", "smoke",
                      "--dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "archived" in out
@@ -154,7 +154,7 @@ class TestBenchSubcommand:
 
     def test_reference_merges_unless_fresh(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SHA", "feed124")
-        assert main(["bench", "run", "--suite", "smoke", "--repeats", "1",
+        assert main(["bench", "run", "--suite", "smoke",
                      "--dir", str(tmp_path), "--no-trajectory"]) == 0
         assert main(["bench", "reference", "--dir", str(tmp_path)]) == 0
 
@@ -173,22 +173,6 @@ class TestBenchSubcommand:
                      "--fresh"]) == 0
         fresh = json.loads(ref_path.read_text())
         assert "other/A:4x4:w4" not in fresh["speedup_bands"]
-
-
-class TestBenchHtmlReport:
-    def test_report_html_writes_the_dashboard(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_BENCH_SHA", "feed125")
-        assert main(["bench", "run", "--suite", "smoke", "--repeats", "1",
-                     "--dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["bench", "report", "--dir", str(tmp_path),
-                     "--html"]) == 0
-        html = (tmp_path / "bench_dashboard.html").read_text()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "feed125" in html
-        assert "<svg" in html
 
 
 class TestSweepTraceSubcommand:

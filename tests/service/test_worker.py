@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.bench.suite import BenchSuite
 from repro.obs.log import StructLogger
 from repro.obs.metrics import MetricsRegistry
@@ -414,6 +416,52 @@ class TestPoolDrain:
             if record["event"] == "fail"
         ]
         assert fail["error"].startswith("ConfigError(")
+        assert multiprocessing.active_children() == []
+
+    def test_dead_pool_process_is_replaced_not_poisoned(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool process that dies takes no member down with it.
+
+        The second member of the first file kills its pool process on
+        its first attempt only.  The worker nacks that file without
+        poisoning it, replaces the pool, re-claims the file at once and
+        finishes the drain; no lease has to expire.
+        """
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the crash hook reaches pool processes by fork")
+        from repro.sim import executor as executor_mod
+
+        marker = tmp_path / "crashed-once"
+        victim = self.SPECS[1].digest()
+        serial = executor_mod.execute_spec
+
+        def crash_once(spec, *args, **kwargs):
+            if spec.digest() == victim and not marker.exists():
+                marker.touch()
+                os._exit(1)
+            return serial(spec, *args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "execute_spec", crash_once)
+        registry = MetricsRegistry()
+        queue = WorkQueue(tmp_path / "q", metrics=registry)
+        store = ResultStore(tmp_path / "s")
+        queue.submit_many(self.SPECS, batch_size=2)    # two files of two
+        summary = worker_loop(
+            queue, store, worker_id="w", exit_when_empty=True
+        )
+        assert marker.exists()
+        # The first file is claimed twice: before and after the crash.
+        assert summary.claims == 3
+        assert summary.failed == 0
+        assert summary.executed == len(self.SPECS)
+        assert registry.get("worker_pool_rebuilds_total").value(
+            worker_id="w"
+        ) == 1
+        assert queue.is_empty()
+        for spec in self.SPECS:
+            want = json.loads(json.dumps(serial(spec).to_dict()))
+            assert store.load_record(spec.digest())["stats"] == want
         assert multiprocessing.active_children() == []
 
     def test_worker_id_does_not_leak_into_later_executors(self, tmp_path):
